@@ -21,7 +21,7 @@ from .errors import (
     SingularPointError,
     ToricError,
 )
-from .jets import DEFAULT_ORDER, TaylorJet, arith, derivative, exp_jet, jet_pow, lift, ln_jet
+from .jets import DEFAULT_ORDER, TaylorJet, arith, derivative, exp_jet, jet_pow, ln_jet
 from .polytope import (
     AffineFunctional,
     DelzantPolytope,
@@ -43,14 +43,11 @@ from .potentials import (
     fubini_study_potential,
     fubini_study_radial,
     generalized_burns_potential,
-    get_potential,
     hermitian_metric,
     kahler_to_t_potential,
     local_t_potential,
     scalar_flat_family,
     symplectic_evaluator,
-    symplectic_potential,
-    t_potential_value,
 )
 from .curvature import (
     CurvatureReport,
@@ -73,5 +70,6 @@ from .scalarflat import (
     solve_boundary_coefficients,
 )
 from .asymptotics import DecayReport, MetricBlocks, chart_deviation, decay_scan, flat_chart, metric_blocks
+from .cli import get_potential
 
 __version__ = "0.1.0"

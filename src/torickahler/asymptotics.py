@@ -6,8 +6,9 @@ In action-angle coordinates a radial-family metric is the block matrix
 ``lambda_i = sqrt(2 x_i) cos y_i, mu_i = sqrt(2 x_i) sin y_i`` turns the
 euclidean metric into the identity, so the operator-norm distance of the
 transformed ``h`` from the identity measures how fast a metric flattens out.
-For the scalar-flat blow-up metric that deviation falls off like ``u^(1-n)``
-in the squared radius ``u``, and :func:`decay_scan` fits that exponent.
+For the scalar-flat blow-up metric that deviation falls off like
+``(n-1) u^(1-n)`` in the squared radius ``u``, and :func:`decay_scan` fits the
+exponent and reads off the coefficient.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DecayFitError, DomainError
+from .errors import DecayFitError, DomainError, NonAdmissibleError
 from .curvature import hessian_t_family, HessianEval
-from .potentials import TPotential
+from .potentials import TPotential, f2_value
+from .scalarflat import burns_simanca_potential
 
 __all__ = [
     "MetricBlocks",
@@ -29,11 +31,7 @@ __all__ = [
     "flat_chart",
     "chart_deviation",
     "decay_scan",
-    "DEVIATION_FLOOR",
 ]
-
-#: Deviations below this are indistinguishable from roundoff in the assembly.
-DEVIATION_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -48,13 +46,18 @@ class MetricBlocks:
 
 @dataclass(frozen=True)
 class DecayReport:
-    """Log-log decay fit of the deviation from the euclidean metric."""
+    """Log-log decay fit of the deviation from the euclidean metric.
+
+    ``leading_coefficient`` is ``u^(-expected_slope) * deviation`` at the
+    largest ``u``; it tends to ``n - 1`` for the blow-up metric.
+    """
 
     n: int
     potential: str
     samples: tuple[tuple[float, float], ...]
     fitted_slope: float
     expected_slope: float
+    leading_coefficient: float
 
     def __post_init__(self) -> None:
         us = [u for u, _ in self.samples]
@@ -87,57 +90,41 @@ def flat_chart(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.n
     return r * np.cos(y), r * np.sin(y)
 
 
-def _chart_jacobian(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d(lambda, mu) / d(x, y); block-diagonal in each coordinate pair."""
-    n = x.size
+def _chart_jacobian_inverse(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d(x, y) / d(lambda, mu); block-diagonal in each coordinate pair."""
     r = np.sqrt(2.0 * x)
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = np.diag(np.cos(y) / r)
-    M[:n, n:] = np.diag(-r * np.sin(y))
-    M[n:, :n] = np.diag(np.sin(y) / r)
-    M[n:, n:] = np.diag(r * np.cos(y))
-    return M
-
-
-def _jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations."""
-    A = np.array(matrix, dtype=float, copy=True)
-    m = A.shape[0]
-    scale = max(1.0, float(np.linalg.norm(A)))
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.square(A - np.diag(np.diag(A))))))
-        if off <= tol * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rotation = np.eye(m)
-                rotation[p, p] = rotation[q, q] = c
-                rotation[p, q] = s
-                rotation[q, p] = -s
-                A = rotation.T @ A @ rotation
-    return np.diag(A)
-
-
-def _sym_opnorm(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(_jacobi_eigenvalues(matrix))))
+    return np.block(
+        [
+            [np.diag(r * np.cos(y)), np.diag(r * np.sin(y))],
+            [np.diag(-np.sin(y) / r), np.diag(np.cos(y) / r)],
+        ]
+    )
 
 
 def chart_deviation(pot: TPotential, x: Sequence[float], y: Sequence[float] | None = None) -> float:
-    """Operator-norm distance of the metric from the identity in the flat chart."""
+    """Operator-norm distance of the metric from the identity in the flat chart.
+
+    The flat potential gives h0 = diag(G0, G0^{-1}) with G0 = diag(1/(2x)),
+    which the chart maps to the identity exactly.  So h - h0 is assembled from
+    its exact rank-one pieces, G - G0 = (1/2) F'' 11^T and
+    G^{-1} - G0^{-1} = -2 F'' x x^T / (1 + t F''), and transformed; nothing is
+    subtracted from a rounded matrix, so the deviation keeps its digits far
+    below roundoff of the identity.
+    """
     x = np.asarray(x, dtype=float)
     y = np.zeros_like(x) if y is None else np.asarray(y, dtype=float)
-    blocks = metric_blocks(pot, x)
-    M = _chart_jacobian(x, y)
-    M_inv = np.linalg.inv(M)
-    h_chart = M_inv.T @ blocks.h @ M_inv
-    return _sym_opnorm(h_chart - np.eye(h_chart.shape[0]))
+    if x.size == 0 or np.any(x <= 0.0) or x.shape != y.shape:
+        raise DomainError("x must be a point inside the positive orthant and y of its shape")
+    t = float(x.sum())
+    f2 = f2_value(pot, t)
+    if 1.0 + t * f2 <= 0.0:
+        raise NonAdmissibleError(f"1 + t F'' = {1.0 + t * f2} <= 0 at t={t}")
+    n = x.size
+    dh = np.zeros((2 * n, 2 * n))
+    dh[:n, :n] = 0.5 * f2
+    dh[n:, n:] = (-2.0 * f2 / (1.0 + t * f2)) * np.outer(x, x)
+    M_inv = _chart_jacobian_inverse(x, y)
+    return float(np.max(np.abs(np.linalg.eigvalsh(M_inv.T @ dh @ M_inv))))
 
 
 def decay_scan(
@@ -152,20 +139,17 @@ def decay_scan(
     Deviations are taken along the diagonal ray x = (u/n)(1, ..., 1), y = 0;
     for radial-family metrics the deviation at fixed u is direction
     independent, so one ray suffices.  The fit drops the first decade of u
-    (transient constants) and anything at the roundoff floor.  If everything
-    sits at the floor the metric is euclidean to working precision and the
-    slope is reported as NaN; having fewer than three usable points otherwise
-    is an error.
+    (transient constants).  If every deviation is exactly zero the metric is
+    flat and the slope is reported as NaN; having fewer than three nonzero
+    points past the first decade otherwise is an error.
     """
-    if u_min <= 1.0:
-        raise ValueError("u_min must exceed 1")
-    if u_max <= u_min:
-        raise ValueError("u_max must exceed u_min")
+    if not u_min > 1.0:
+        raise DomainError("u_min must exceed 1")
+    if not u_min < u_max < math.inf:
+        raise DomainError("u_max must be finite and exceed u_min")
     if samples < 8:
-        raise ValueError("need at least 8 samples")
+        raise DomainError("need at least 8 samples")
     if pot is None:
-        from .scalarflat import burns_simanca_potential
-
         pot = burns_simanca_potential(n)
 
     us = np.geomspace(u_min, u_max, samples)
@@ -174,24 +158,26 @@ def decay_scan(
         x = (float(u) / n) * np.ones(n)
         scan.append((float(u), chart_deviation(pot, x)))
 
-    fit_points = [
-        (u, d) for u, d in scan if u >= 10.0 * u_min and d > DEVIATION_FLOOR
-    ]
+    fit_points = [(u, d) for u, d in scan if u >= 10.0 * u_min and d > 0.0]
     if len(fit_points) >= 3:
         log_u = np.log([u for u, _ in fit_points])
         log_d = np.log([d for _, d in fit_points])
         slope = float(np.polyfit(log_u, log_d, 1)[0])
-    elif all(d <= DEVIATION_FLOOR for _, d in scan):
+    elif all(d == 0.0 for _, d in scan):
         slope = math.nan
     else:
         raise DecayFitError(
-            f"only {len(fit_points)} usable samples above the roundoff floor; cannot fit a slope"
+            f"only {len(fit_points)} nonzero samples past the first decade; cannot fit a slope"
         )
 
+    u_last, d_last = scan[-1]
+    with np.errstate(over="ignore"):
+        leading = float(d_last * np.float64(u_last) ** (n - 1))
     return DecayReport(
         n=n,
         potential=pot.label,
         samples=tuple(scan),
         fitted_slope=slope,
         expected_slope=float(1 - n),
+        leading_coefficient=leading,
     )

@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from . import asymptotics, curvature, potentials, scalarflat
-from .errors import ToricError
+from .errors import DomainError, ToricError
 
-__all__ = ["RunReport", "CheckResult", "emit", "dispatch", "main"]
+__all__ = ["RunReport", "CheckResult", "emit", "get_potential", "dispatch", "main"]
 
 
 @dataclass
@@ -118,20 +118,55 @@ def emit(report: RunReport, fmt: str = "json", destination: str | None = None) -
             handle.write(text)
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def get_potential(name: str, n: int | None = None) -> potentials.TPotential:
+    """Look up a catalog potential by name (hyphens and underscores both work)."""
+    key = name.replace("-", "_")
+    if key == "burns_simanca":
+        if n is None:
+            raise DomainError("burns_simanca needs the dimension n")
+        return scalarflat.burns_simanca_potential(n)
+    catalog = {
+        "flat": potentials.flat_potential,
+        "fubini_study": potentials.fubini_study_potential,
+        "generalized_burns": potentials.generalized_burns_potential,
+    }
+    if key not in catalog:
+        raise DomainError(f"unknown potential {name!r}")
+    return catalog[key]()
+
+
+def positive_int(text: str) -> int:
+    """Argument type for dimensions and sample counts."""
+    value = int(text)
+    if value < 1:
+        raise DomainError(f"{value} is not a positive integer")
+    return value
+
+
+def _parse_range(text: str) -> range:
+    try:
+        lo, sep, hi = text.partition("..")
+        dims = range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise DomainError(f"expected an integer or a range a..b, got {text!r}") from None
+    if not dims:
+        raise DomainError(f"the range {text!r} is empty")
+    return dims
 
 
 def _parse_float_range(text: str) -> tuple[float, float]:
-    lo, hi = text.split("..", 1)
-    return float(lo), float(hi)
+    try:
+        lo, hi = text.split("..", 1)
+        return float(lo), float(hi)
+    except ValueError:
+        raise DomainError(f"expected an interval a..b, got {text!r}") from None
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise DomainError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +230,7 @@ def _cmd_curvature(args) -> RunReport:
         "curvature",
         {"potential": args.potential, "dim": args.dim, "t": args.t, "point": args.point},
     )
-    pot = potentials.get_potential(args.potential, args.dim)
+    pot = get_potential(args.potential, args.dim)
     if not args.t and not args.point:
         raise ToricError("give at least one --t or --point to evaluate at")
     for t in args.t or []:
@@ -207,8 +242,7 @@ def _cmd_curvature(args) -> RunReport:
             raise ToricError(f"point {point_text!r} does not have dimension {args.dim}")
         t = sum(x)
         radius = min(0.5, 0.6 * (t - pot.domain[0]))
-        window = (t - radius, t + radius)
-        g = potentials.symplectic_evaluator(pot, t_window=None if pot.value_fn else window)
+        g = potentials.symplectic_evaluator(pot, t_window=(t - radius, t + radius))
         value = curvature.scalar_curvature_abreu(g, x)
         report.check(f"S_abreu(x={point_text})", value, None, None, ok=math.isfinite(value))
     return report
@@ -264,7 +298,7 @@ def _cmd_admissible(args) -> RunReport:
         "admissible",
         {"potential": args.potential, "dim": args.dim, "t_range": args.t_range, "samples": args.samples},
     )
-    pot = potentials.get_potential(args.potential, args.dim)
+    pot = get_potential(args.potential, args.dim)
     lo, hi = _parse_float_range(args.t_range)
     result = potentials.admissibility(pot, (lo, hi), args.samples)
     report.check(
@@ -297,19 +331,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-catalog", help="constant/zero curvature checks for the catalog")
     p.add_argument("--dims", default="2..4", help="dimension range a..b")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--samples", type=int, default=5, help="random t draws per check")
+    p.add_argument("--samples", type=positive_int, default=5, help="random t draws per check")
     common(p)
     p.set_defaults(handler=_cmd_verify_catalog)
 
     p = sub.add_parser("derive", help="exact boundary matching on the blow-up polytope")
     p.add_argument("--polytope", default="blowup")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=positive_int, required=True)
     common(p)
     p.set_defaults(handler=_cmd_derive)
 
     p = sub.add_parser("curvature", help="evaluate scalar curvature at points")
     p.add_argument("--potential", required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=positive_int, required=True)
     p.add_argument("--t", type=float, action="append", help="evaluate the reduced formula at t (repeatable)")
     p.add_argument("--point", action="append", help="comma-separated action point for the general formula")
     common(p)
@@ -317,27 +351,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("legendre", help="roundtrip checks of the Legendre duality")
     p.add_argument("--potential", default="flat")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--dim", type=positive_int, default=2)
+    p.add_argument("--samples", type=positive_int, default=20)
     p.add_argument("--tol-identity", type=float, default=1e-8)
     p.add_argument("--tol-hessian", type=float, default=1e-5)
     common(p)
     p.set_defaults(handler=_cmd_legendre)
 
     p = sub.add_parser("decay", help="asymptotic flatness scan of the blow-up metric")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=positive_int, required=True)
     p.add_argument("--u-min", type=float, default=1e2)
     p.add_argument("--u-max", type=float, default=1e6)
-    p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--samples", type=positive_int, default=32)
     p.add_argument("--tol", type=float, default=0.1, help="allowed slope mismatch")
     common(p)
     p.set_defaults(handler=_cmd_decay)
 
     p = sub.add_parser("admissible", help="positivity sweep F'' > -1/t")
     p.add_argument("--potential", required=True)
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", type=positive_int, default=None)
     p.add_argument("--t-range", required=True, help="interval a..b")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=positive_int, default=200)
     common(p)
     p.set_defaults(handler=_cmd_admissible)
 

@@ -81,10 +81,6 @@ class LegendreRoundtrip:
     hessian_residual: float
 
 
-def _leading_minors_positive(G: np.ndarray) -> bool:
-    return all(np.linalg.det(G[: k + 1, : k + 1]) > 0.0 for k in range(G.shape[0]))
-
-
 def _t_family_matrices(x: np.ndarray, f2: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Closed forms for G, G^{-1} and det G^{-1} of the radial family."""
     n = x.size
@@ -101,7 +97,10 @@ def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
 
     G_ij = (1/2)(delta_ij / x_i + F''); the inverse has diagonal entries
     2 x_i (1 + F'' (t - x_i)) / (1 + t F'') and off-diagonal
-    -2 F'' x_i x_j / (1 + t F'').
+    -2 F'' x_i x_j / (1 + t F'').  G is positive definite whenever it is
+    returned: with x > 0, G is a positive diagonal matrix plus a rank-one term,
+    so it has at most one nonpositive eigenvalue, and by the matrix determinant
+    lemma det G = (1 + t F'') / prod(2 x_i) > 0 rules that one out.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -115,7 +114,7 @@ def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
             f"1 + t F'' = {1.0 + t * f2} <= 0 at t={t}; the inverse Hessian degenerates"
         )
     G, G_inv, det_G_inv = _t_family_matrices(x, f2)
-    return HessianEval(x=x, G=G, G_inv=G_inv, det_G_inv=det_G_inv, posdef=_leading_minors_positive(G))
+    return HessianEval(x=x, G=G, G_inv=G_inv, det_G_inv=det_G_inv, posdef=True)
 
 
 def _second_difference_matrix(g: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
@@ -167,7 +166,7 @@ def hessian_general(
         G=G,
         G_inv=G_inv,
         det_G_inv=float(np.linalg.det(G_inv)),
-        posdef=_leading_minors_positive(G),
+        posdef=bool(eigenvalues[0] > 0.0),
     )
 
 

@@ -22,7 +22,6 @@ from .errors import DomainError, InsufficientOrderError, SingularPointError
 __all__ = [
     "DEFAULT_ORDER",
     "TaylorJet",
-    "lift",
     "constant",
     "variable",
     "arith",
@@ -53,7 +52,7 @@ class TaylorJet:
             raise ValueError("a jet needs at least the constant coefficient")
         for c in coeffs:
             if not math.isfinite(c):
-                raise ValueError("jet coefficients must be finite")
+                raise DomainError("jet coefficients must be finite")
         object.__setattr__(self, "base", float(self.base))
         object.__setattr__(self, "coefficients", coeffs)
 
@@ -99,29 +98,18 @@ def _as_jet(value, template: TaylorJet) -> TaylorJet:
     return constant(float(value), template.base, template.order)
 
 
-def lift(value, kind: str, base: float = 0.0, order: int = DEFAULT_ORDER) -> TaylorJet:
-    """Embed a constant or the identity function as a jet.
-
-    ``constant`` produces ``[value, 0, ...]``; ``variable`` produces
-    ``[base, 1, 0, ...]`` (``value`` is ignored for the identity).
-    """
+def constant(value: float, base: float = 0.0, order: int = DEFAULT_ORDER) -> TaylorJet:
+    """Jet of a constant function: ``[value, 0, ...]``."""
     if order < 0:
         raise ValueError("jet order must be nonnegative")
-    if kind == "constant":
-        coeffs = (float(value),) + (0.0,) * order
-    elif kind == "variable":
-        coeffs = (float(base),) + ((1.0,) + (0.0,) * (order - 1) if order >= 1 else ())
-    else:
-        raise ValueError(f"unknown lift kind {kind!r}")
-    return TaylorJet(base, coeffs)
-
-
-def constant(value: float, base: float = 0.0, order: int = DEFAULT_ORDER) -> TaylorJet:
-    return lift(value, "constant", base, order)
+    return TaylorJet(base, (float(value),) + (0.0,) * order)
 
 
 def variable(base: float, order: int = DEFAULT_ORDER) -> TaylorJet:
-    return lift(None, "variable", base, order)
+    """Jet of the identity function about ``base``: ``[base, 1, 0, ...]``."""
+    if order < 0:
+        raise ValueError("jet order must be nonnegative")
+    return TaylorJet(base, ((float(base), 1.0) + (0.0,) * (order - 1))[: order + 1])
 
 
 def _check_compatible(a: TaylorJet, b: TaylorJet) -> None:

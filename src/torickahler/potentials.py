@@ -12,6 +12,16 @@ the monotone map ``gamma(s) = 2 s f'(s)``.
 T-potentials are handled through jets of ``F''`` rather than values of ``F``:
 every curvature quantity depends on ``F`` only through its second derivative,
 and the interesting scalar-flat family is closed-form only at that level.
+Values of ``F`` itself, needed only to assemble ``g`` for finite differences,
+have three routes, each with its own role:
+
+* the closed form ``TPotential.value_fn``, where the catalog knows one;
+* :func:`local_t_potential`, a Chebyshev interpolant of ``F''`` integrated
+  twice, the fast route for finite-difference work without a closed form;
+* :func:`torickahler.scalarflat.reconstruct_F`, adaptive quadrature of
+  ``F''``, the reference that the Chebyshev route is checked against.
+
+:func:`symplectic_evaluator` is the one assembly of ``g`` from the first two.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     AccuracyError,
@@ -49,14 +58,11 @@ __all__ = [
     "generalized_burns_potential",
     "scalar_flat_family",
     "custom_potential",
-    "get_potential",
     "f2_jet",
     "f2_value",
     "admissibility",
     "kahler_to_t_potential",
     "hermitian_metric",
-    "symplectic_potential",
-    "t_potential_value",
     "local_t_potential",
     "symplectic_evaluator",
 ]
@@ -116,8 +122,8 @@ class TPotential:
     """Radial part of a symplectic potential, described through jets of F''.
 
     ``value_fn``, when present, is a closed form for ``F`` itself.  Without it
-    ``F`` values are recovered by quadrature of ``F''`` in an arbitrary affine
-    gauge, which is invisible to Hessians and curvature.
+    ``F`` values come from integrating ``F''`` in an arbitrary affine gauge,
+    which is invisible to Hessians and curvature.
     """
 
     label: str
@@ -222,27 +228,6 @@ def custom_potential(
     return TPotential(label, domain, jet_fn, value_fn=value_fn, params=params or {})
 
 
-_CATALOG = {
-    "flat": lambda n: flat_potential(),
-    "fubini_study": lambda n: fubini_study_potential(),
-    "generalized_burns": lambda n: generalized_burns_potential(),
-}
-
-
-def get_potential(name: str, n: int | None = None) -> TPotential:
-    """Look up a catalog potential by name (hyphens and underscores both work)."""
-    key = name.replace("-", "_")
-    if key == "burns_simanca":
-        from .scalarflat import burns_simanca_potential
-
-        if n is None:
-            raise DomainError("burns_simanca needs the dimension n")
-        return burns_simanca_potential(n)
-    if key not in _CATALOG:
-        raise DomainError(f"unknown potential {name!r}")
-    return _CATALOG[key](n)
-
-
 # ---------------------------------------------------------------------------
 # Operations on t-potentials
 # ---------------------------------------------------------------------------
@@ -250,7 +235,8 @@ def get_potential(name: str, n: int | None = None) -> TPotential:
 
 def _check_t(pot: TPotential, t: float) -> None:
     lo, hi = pot.domain
-    if not (t - lo >= DOMAIN_MARGIN and (math.isinf(hi) or hi - t >= DOMAIN_MARGIN)):
+    inside = t - lo >= DOMAIN_MARGIN and (math.isinf(hi) or hi - t >= DOMAIN_MARGIN)
+    if not (inside and math.isfinite(t)):
         raise DomainError(
             f"t={t} is outside the domain ({lo}, {hi}) of potential {pot.label!r} "
             f"(margin {DOMAIN_MARGIN})"
@@ -282,7 +268,7 @@ def admissibility(pot: TPotential, t_range: tuple[float, float], samples: int = 
     """Check F''(t) + 1/t > 0 on a sampled interval; on failure report a witness."""
     lo, hi = float(t_range[0]), float(t_range[1])
     if not lo < hi:
-        raise ValueError("t_range must be an increasing pair")
+        raise DomainError("t_range must be an increasing pair")
     _check_t(pot, lo)
     _check_t(pot, hi)
     ts = np.linspace(lo, hi, max(2, samples))
@@ -426,67 +412,6 @@ def hermitian_metric(f: RadialKahlerPotential, z: Sequence[complex]) -> Hermitia
 # ---------------------------------------------------------------------------
 
 
-def _default_anchor(pot: TPotential) -> float:
-    lo, hi = pot.domain
-    if lo + DOMAIN_MARGIN < 2.0 and (math.isinf(hi) or 2.0 < hi - DOMAIN_MARGIN):
-        return 2.0
-    if math.isinf(hi):
-        return lo + 1.0
-    return 0.5 * (lo + hi)
-
-
-def _integrate_f2(pot: TPotential, t: float, anchor: float) -> tuple[float, float]:
-    """(F(t), F'(t)) from adaptive quadrature of F'', gauged to vanish at the anchor."""
-    _check_t(pot, t)
-    _check_t(pot, anchor)
-    if t == anchor:
-        return 0.0, 0.0
-
-    def f2v(tau: float) -> float:
-        return f2_value(pot, tau)
-
-    results = []
-    for integrand in (f2v, lambda tau: (t - tau) * f2v(tau)):
-        out = integrate.quad(
-            integrand, anchor, t, epsabs=1e-11, epsrel=1e-11, limit=300, full_output=1
-        )
-        if len(out) > 3:
-            raise AccuracyError(f"quadrature of F'' did not converge: {out[3]}")
-        value, abserr = out[0], out[1]
-        if abserr > 1e-8 * (1.0 + abs(value)):
-            raise AccuracyError(f"quadrature error estimate {abserr} too large")
-        results.append(value)
-    return results[1], results[0]
-
-
-def t_potential_value(pot: TPotential, t: float, anchor: float | None = None) -> float:
-    """F(t), from the closed form when available, otherwise by quadrature of F''.
-
-    The quadrature route fixes the affine gauge F(anchor) = F'(anchor) = 0;
-    Hessians and curvature do not see the difference.
-    """
-    t = float(t)
-    _check_t(pot, t)
-    if pot.value_fn is not None and anchor is None:
-        return pot.value_fn(t)
-    if anchor is None:
-        anchor = _default_anchor(pot)
-    value, _ = _integrate_f2(pot, t, float(anchor))
-    return value
-
-
-def symplectic_potential(pot: TPotential, x: Sequence[float]) -> float:
-    """g(x) = (1/2)(sum x_i ln x_i + F(t)) at an interior point of the orthant."""
-    xs = [float(v) for v in x]
-    if not xs:
-        raise DimensionError("x must be nonempty")
-    if min(xs) < BOUNDARY_CUTOFF:
-        raise NearBoundaryError("x must be strictly inside the orthant")
-    t = sum(xs)
-    _check_t(pot, t)
-    return 0.5 * (sum(v * math.log(v) for v in xs) + t_potential_value(pot, t))
-
-
 def local_t_potential(
     pot: TPotential,
     t_lo: float,
@@ -499,11 +424,13 @@ def local_t_potential(
     F'' is interpolated at Chebyshev nodes and integrated twice exactly; the
     interpolation is validated against direct F'' values and refined until it
     is below ``tol``.  Intended for finite-difference work that hits F at many
-    nearby points where per-call quadrature would dominate the runtime.
+    nearby points where per-call quadrature would dominate the runtime.  The
+    returned callable raises :class:`DomainError` outside the window rather
+    than extrapolate.
     """
     t_lo, t_hi = float(t_lo), float(t_hi)
     if not t_lo < t_hi:
-        raise ValueError("need t_lo < t_hi")
+        raise DomainError(f"need t_lo < t_hi, got [{t_lo}, {t_hi}]")
     _check_t(pot, t_lo)
     _check_t(pot, t_hi)
 
@@ -533,7 +460,10 @@ def local_t_potential(
     inner_coeffs = antiderivative.coef.copy()
 
     def value(t: float) -> float:
-        xi = (float(t) - mid) / half
+        t = float(t)
+        if not t_lo <= t <= t_hi:
+            raise DomainError(f"t={t} is outside the Chebyshev window [{t_lo}, {t_hi}]")
+        xi = (t - mid) / half
         return float(np.polynomial.chebyshev.chebval(xi, inner_coeffs))
 
     return value
@@ -542,18 +472,19 @@ def local_t_potential(
 def symplectic_evaluator(
     pot: TPotential, t_window: tuple[float, float] | None = None
 ) -> Callable[[Sequence[float]], float]:
-    """A plain callable x -> g(x) for finite-difference consumers.
+    """The callable x -> g(x) = (1/2)(sum x_i ln x_i + F(t)) at interior points.
 
-    With a closed-form F the evaluation is direct.  Otherwise a ``t_window``
-    selects a gauge-fixed local polynomial for F (see :func:`local_t_potential`);
-    without one, every call falls back to quadrature.
+    With a closed-form F the evaluation is direct and ``t_window`` is ignored.
+    Otherwise ``t_window`` is required and selects a gauge-fixed local
+    polynomial for F (see :func:`local_t_potential`).  Every call checks that
+    x is inside the orthant and t inside the potential's domain.
     """
     if pot.value_fn is not None:
         f_of_t = pot.value_fn
     elif t_window is not None:
         f_of_t = local_t_potential(pot, t_window[0], t_window[1])
     else:
-        f_of_t = lambda t: t_potential_value(pot, t)
+        raise DomainError(f"potential {pot.label!r} has no closed-form F; give a t_window")
 
     def g(x: Sequence[float]) -> float:
         total = 0.0
@@ -564,6 +495,7 @@ def symplectic_evaluator(
                 raise NearBoundaryError("x must be strictly inside the orthant")
             total += v * math.log(v)
             t += v
+        _check_t(pot, t)
         return 0.5 * (total + f_of_t(t))
 
     return g

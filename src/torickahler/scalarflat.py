@@ -16,6 +16,12 @@ Both conditions are linear; solving them exactly over the rationals gives
 ``Q(t) = t^(n-1) + ... + t - (n - 2)``.  All the polynomial work here is done
 with ``fractions.Fraction`` so the divisibility statements are exact, not
 approximate.
+
+:func:`reconstruct_F` is the quadrature route to ``F`` itself, one of three:
+the closed form ``TPotential.value_fn`` where one is known, the Chebyshev
+interpolant of :func:`torickahler.potentials.local_t_potential` for fast
+finite differences, and this slow, independent reference that the Chebyshev
+route is checked against.
 """
 
 from __future__ import annotations
@@ -26,9 +32,11 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy import integrate
 
-from .errors import DimensionError, DomainError
-from .potentials import TPotential, f2_value, scalar_flat_family, _integrate_f2
+from .curvature import hessian_t_family
+from .errors import AccuracyError, DimensionError, DomainError
+from .potentials import TPotential, _check_t, f2_value, scalar_flat_family
 
 __all__ = [
     "BoundaryMatch",
@@ -71,22 +79,28 @@ class BoundaryMatch:
     remainder: Fraction
 
     def quotient_value(self, t: float) -> float:
-        return float(_poly_eval([Fraction(c) for c in self.quotient], Fraction(t)))
+        return float(_poly_eval(self.quotient, Fraction(t)))
 
     def delta(self, t: float) -> float:
         """The cofactor delta(t) = 2^n t^(-n) Q(t) in det G^{-1} = delta * prod l_i.
 
         For mismatched (A, B) the division leaves a remainder and delta keeps
         the raw form 2^n (t^n - A t - B) / (t^n (t - 1)), singular at t = 1.
+        Either form is one exact rational, rounded once, so that neither Q(t)
+        nor 2^n overflows on the way to a representable delta.
         """
-        t = float(t)
+        t = Fraction(float(t))
+        n = self.n
         if self.remainder == 0:
-            return 2.0**self.n * t ** (-self.n) * self.quotient_value(t)
-        numerator = t**self.n - float(self.A) * t - float(self.B)
-        gap = t - 1.0
-        if gap == 0.0:
+            value = 2**n * _poly_eval(self.quotient, t) / t**n
+        elif t == 1:
             return math.inf
-        return 2.0**self.n * numerator / (t**self.n * gap)
+        else:
+            value = 2**n * (t**n - self.A * t - self.B) / (t**n * (t - 1))
+        try:
+            return float(value)
+        except OverflowError:
+            raise DomainError(f"delta({float(t)}) overflows a float at n={n}") from None
 
 
 def _solve_2x2_exact(
@@ -171,21 +185,19 @@ def delta_check(
     delta(t) must be finite and positive at every sample and at t = 1, and at
     interior points of the blow-up polytope the closed-form det G^{-1} of the
     matched family must equal delta(t) * prod_i l_i(x) (the n coordinate facets
-    and the t - 1 facet).
+    and the t - 1 facet).  The factorization is compared in log space, where
+    the difference is the relative error and neither side underflows however
+    large n is; ``max_det_deviation`` is the largest such log difference.
     """
-    from .curvature import hessian_t_family
-
     ts = sorted(set(float(t) for t in t_samples) | {1.0})
     if min(ts) < 1.0:
         raise DomainError("delta is checked on [1, inf)")
 
-    min_delta = math.inf
-    witness = None
-    for t in ts:
-        value = match.delta(t)
+    deltas = {t: match.delta(t) for t in ts}
+    for t, value in deltas.items():
         if not math.isfinite(value) or value <= 0.0:
-            return DeltaCheckReport(False, float(value), math.inf, t)
-        min_delta = min(min_delta, value)
+            return DeltaCheckReport(False, value, math.inf, t)
+    min_delta = min(deltas.values())
 
     pot = scalar_flat_family(match.n, float(match.A), float(match.B))
     rng = np.random.default_rng(seed)
@@ -193,15 +205,15 @@ def delta_check(
     for t in ts:
         if t < 1.0 + 1e-6:
             continue
+        log_cofactor = math.log(deltas[t]) + math.log(t - 1.0)
         for _ in range(points_per_t):
             weights = rng.uniform(0.2, 1.0, match.n)
             x = t * weights / weights.sum()
-            hess = hessian_t_family(pot, x)
-            det_numeric = float(np.linalg.det(hess.G_inv))
-            factored = match.delta(t) * float(np.prod(x)) * (t - 1.0)
-            deviation = abs(det_numeric - factored)
+            sign, log_det = np.linalg.slogdet(hessian_t_family(pot, x).G_inv)
+            factored = log_cofactor + float(np.sum(np.log(x)))
+            deviation = abs(float(log_det) - factored) if sign > 0 else math.inf
             max_deviation = max(max_deviation, deviation)
-            if deviation > tol * max(1.0, abs(det_numeric)):
+            if deviation > tol:
                 return DeltaCheckReport(False, min_delta, max_deviation, t)
     return DeltaCheckReport(True, min_delta, max_deviation, None)
 
@@ -209,10 +221,28 @@ def delta_check(
 def reconstruct_F(pot: TPotential, t: float, anchor: float = 2.0) -> tuple[float, float]:
     """(F(t), F'(t)) by adaptive quadrature of F'', with F(anchor) = F'(anchor) = 0.
 
-    The affine ambiguity of F is fixed by the anchor convention; anything
-    curvature-like is unaffected by it.
+    The quadrature reference for F (see the module docstring for the other
+    two routes).  The affine ambiguity of F is fixed by the anchor convention;
+    anything curvature-like is unaffected by it.
     """
-    return _integrate_f2(pot, float(t), float(anchor))
+    t, anchor = float(t), float(anchor)
+    _check_t(pot, t)
+    _check_t(pot, anchor)
+    if t == anchor:
+        return 0.0, 0.0
+
+    results = []
+    for integrand in (lambda tau: f2_value(pot, tau), lambda tau: (t - tau) * f2_value(pot, tau)):
+        out = integrate.quad(
+            integrand, anchor, t, epsabs=1e-11, epsrel=1e-11, limit=300, full_output=1
+        )
+        if len(out) > 3:
+            raise AccuracyError(f"quadrature of F'' did not converge: {out[3]}")
+        value, abserr = out[0], out[1]
+        if abserr > 1e-8 * (1.0 + abs(value)):
+            raise AccuracyError(f"quadrature error estimate {abserr} too large")
+        results.append(value)
+    return results[1], results[0]
 
 
 def boundary_regularity(pot: TPotential, t: float) -> float:

@@ -187,21 +187,20 @@ def test_criterion_07_legendre_roundtrip():
 
 
 def test_criterion_08_asymptotic_decay_slopes():
+    # The deviation from euclidean is (n - 1) u^(1-n) to leading order: check
+    # the fitted exponent and the coefficient u^(n-1) * deviation at u = 1e6.
     start = time.perf_counter()
     slopes = {}
     ok = True
-    for n in (2, 3):
+    for n in range(2, 9):
         report = decay_scan(n, 1e2, 1e6, 32)
         slopes[n] = report.fitted_slope
         ok = ok and abs(report.fitted_slope - (1 - n)) < 0.1
+        ok = ok and abs(report.leading_coefficient - (n - 1)) < 1e-3 * (n - 1)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0
-    _report(
-        8,
-        "asymptotic_decay_slopes",
-        ok,
-        f"slope(n=2) = {slopes[2]:.3f}, slope(n=3) = {slopes[3]:.3f}, {elapsed:.1f}s",
-    )
+    detail = ", ".join(f"slope(n={n}) = {s:.3f}" for n, s in slopes.items())
+    _report(8, "asymptotic_decay_slopes", ok, f"{detail}, {elapsed:.1f}s")
 
 
 def test_criterion_09_determinant_identities():

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from torickahler.asymptotics import (
-    DEVIATION_FLOOR,
-    _jacobi_eigenvalues,
     chart_deviation,
     decay_scan,
     flat_chart,
     metric_blocks,
 )
 from torickahler.errors import DecayFitError, DomainError
+from torickahler.jets import variable
 from torickahler.potentials import (
+    custom_potential,
     f2_value,
     flat_potential,
     fubini_study_potential,
@@ -130,22 +130,6 @@ def test_flat_chart_rejects_negative_x():
 
 
 # ---------------------------------------------------------------------------
-# Jacobi operator norm
-# ---------------------------------------------------------------------------
-
-
-def test_jacobi_matches_lapack():
-    rng = np.random.default_rng(4)
-    for size in (2, 3, 5, 8):
-        for _ in range(5):
-            m = rng.normal(size=(size, size))
-            sym = 0.5 * (m + m.T)
-            got = np.sort(_jacobi_eigenvalues(sym))
-            want = np.sort(np.linalg.eigvalsh(sym))
-            assert np.allclose(got, want, atol=1e-11)
-
-
-# ---------------------------------------------------------------------------
 # Decay scans
 # ---------------------------------------------------------------------------
 
@@ -174,15 +158,17 @@ def test_decay_deviations_decrease():
 
 
 def test_decay_deviations_positive_for_curved_metric():
+    # The deviation is (n - 1) u^(1-n) to leading order, with a relative
+    # correction of order 1/u.
     report = decay_scan(2, 1e2, 1e4, 16)
-    assert all(d > DEVIATION_FLOOR for _, d in report.samples)
+    assert all(u * d == pytest.approx(1.0, rel=2e-2) for u, d in report.samples)
+    assert report.leading_coefficient == pytest.approx(1.0, rel=1e-3)
 
 
 def test_decay_fit_needs_enough_samples():
-    # n=6 decays like u^-5: almost every sample of a wide scan is below the
-    # floor, and the survivors are inside the discarded first decade.
+    # The fit drops the first decade of u, and this scan never leaves it.
     with pytest.raises(DecayFitError):
-        decay_scan(6, 10.0, 1e6, 8)
+        decay_scan(2, 10.0, 90.0, 8)
 
 
 def test_decay_input_validation():
@@ -192,6 +178,25 @@ def test_decay_input_validation():
         decay_scan(2, 10.0, 1e4, 4)
     with pytest.raises(ValueError):
         decay_scan(2, 100.0, 10.0, 16)
+
+
+def test_chart_deviation_matches_closed_form():
+    # h - h0 transforms to (1/2) F'' a a^T - (2 F'' / (1 + t F'')) b b^T with
+    # a = sqrt(2x)(cos y, sin y) and b = sqrt(x/2)(-sin y, cos y) orthogonal,
+    # |a|^2 = 2t and |b|^2 = t/2: the norm is |t F''| max(1, 1 / (1 + t F'')).
+    rng = np.random.default_rng(5)
+    # F'' = -1/(2t) makes t F'' = -1/2 < 0, where the G^{-1} block dominates.
+    negative = custom_potential(lambda t, order: -0.5 / variable(t, order), (1e-6, math.inf))
+    for pot in (burns_simanca_potential(3), generalized_burns_potential(), fubini_study_potential(), negative):
+        for _ in range(5):
+            lo, hi = pot.domain
+            t = rng.uniform(lo + 0.1, min(hi - 0.05, lo + 5.0))
+            w = rng.uniform(0.3, 1.0, 3)
+            x = t * w / w.sum()
+            y = rng.uniform(-math.pi, math.pi, 3)
+            tf2 = float(x.sum()) * f2_value(pot, float(x.sum()))
+            expected = abs(tf2) * max(1.0, 1.0 / (1.0 + tf2))
+            assert chart_deviation(pot, x, y) == pytest.approx(expected, rel=1e-12)
 
 
 def test_chart_deviation_scales_with_curvature_gap():

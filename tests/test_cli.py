@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torickahler.cli import RunReport, dispatch, emit
 
@@ -120,6 +124,71 @@ def test_unwritable_destination(capsys):
         capsys, "decay", "--dim", "2", "--samples", "16", "--output", "/nonexistent/dir/out.json"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["admissible", "--potential", "burns_simanca", "--dim", "3", "--t-range", "5"],
+        ["admissible", "--potential", "burns_simanca", "--dim", "3", "--t-range", "5..1"],
+        ["admissible", "--potential", "fubini_study", "--t-range", "0.1..0.9", "--samples", "-5"],
+        ["decay", "--dim", "3", "--samples", "4"],
+        ["curvature", "--potential", "burns_simanca", "--dim", "3", "--point", "0.1,0.1,0.1"],
+        ["curvature", "--potential", "fubini_study", "--dim", "2", "--point", "0.1,x"],
+        ["legendre", "--samples", "0"],
+        ["verify-catalog", "--samples", "0"],
+        ["verify-catalog", "--dims", "5..1"],
+    ],
+)
+def test_malformed_input_exits_two(capsys, argv):
+    assert dispatch(argv) == 2
+
+
+_NUMBERS = st.sampled_from(["0.1", "0.3", "0.99", "1.5", "2", "25", "1e6", "0", "-1", "nan", "inf", "x"])
+_POTENTIALS = st.sampled_from(["flat", "fubini_study", "fubini-study", "generalized_burns", "burns_simanca", "nope"])
+_DIMS = st.integers(-1, 12).map(str)
+_SAMPLES = st.integers(-2, 50).map(str)
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _repeated(flag, values):
+    return st.lists(values, max_size=2).map(lambda vs: [w for v in vs for w in (flag, v)])
+
+
+_INTERVALS = st.one_of(st.tuples(_NUMBERS, _NUMBERS).map("..".join), _NUMBERS)
+_DIM_RANGES = st.one_of(
+    st.tuples(st.integers(-1, 12), st.integers(-1, 12)).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+    st.sampled_from(["3", "x", "..3", "2..x", ""]),
+)
+# Points have at most three coordinates: Abreu's stencil costs O(n^4) calls.
+_POINTS = st.lists(_NUMBERS, max_size=3).map(",".join)
+
+_ARGV = st.one_of(
+    st.tuples(st.just(["verify-catalog"]), _option("--dims", _DIM_RANGES), _option("--samples", _SAMPLES),
+              _option("--tol", _NUMBERS)),
+    st.tuples(st.just(["derive"]), _option("--dim", _DIMS),
+              _option("--polytope", st.sampled_from(["blowup", "simplex"]))),
+    st.tuples(st.just(["curvature"]), _option("--potential", _POTENTIALS), _option("--dim", _DIMS),
+              _repeated("--t", _NUMBERS), _repeated("--point", _POINTS)),
+    st.tuples(st.just(["legendre"]), _option("--potential", _POTENTIALS), _option("--dim", _DIMS),
+              _option("--samples", _SAMPLES)),
+    st.tuples(st.just(["decay"]), _option("--dim", _DIMS), _option("--samples", _SAMPLES),
+              _option("--u-min", _NUMBERS), _option("--u-max", _NUMBERS)),
+    st.tuples(st.just(["admissible"]), _option("--potential", _POTENTIALS), _option("--dim", _DIMS),
+              _option("--t-range", _INTERVALS), _option("--samples", _SAMPLES)),
+).map(lambda parts: [w for part in parts for w in part])
+
+
+@given(_ARGV, st.sampled_from(["json", "csv"]))
+@settings(max_examples=60, deadline=None)
+def test_every_argv_keeps_the_exit_contract(argv, fmt):
+    # Any exception escaping dispatch fails the test; so does any other exit code.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = dispatch(argv + ["--format", fmt])
+    assert code in (0, 1, 2)
 
 
 def test_unknown_subcommand(capsys):

@@ -12,7 +12,6 @@ from torickahler.jets import (
     derivative,
     exp_jet,
     jet_pow,
-    lift,
     ln_jet,
     variable,
 )
@@ -28,22 +27,25 @@ from helpers import central_derivative
 
 
 def test_lift_constant():
-    jet = lift(3.0, "constant", base=1.0, order=2)
+    jet = constant(3.0, base=1.0, order=2)
     assert jet.coefficients == (3.0, 0.0, 0.0)
 
 
 def test_lift_variable():
-    jet = lift(None, "variable", base=2.0, order=3)
+    jet = variable(2.0, order=3)
     assert jet.coefficients == (2.0, 1.0, 0.0, 0.0)
 
 
 def test_lift_degenerate_order():
-    assert lift(0.0, "constant", base=0.0, order=0).coefficients == (0.0,)
+    assert constant(0.0, base=0.0, order=0).coefficients == (0.0,)
+    assert variable(2.0, order=0).coefficients == (2.0,)
 
 
 def test_lift_rejects_negative_order():
     with pytest.raises(ValueError):
-        lift(1.0, "constant", base=0.0, order=-1)
+        constant(1.0, base=0.0, order=-1)
+    with pytest.raises(ValueError):
+        variable(1.0, order=-1)
 
 
 def test_mul_one_plus_t_times_one_minus_t():

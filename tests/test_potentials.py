@@ -21,15 +21,15 @@ from torickahler.potentials import (
     fubini_study_potential,
     fubini_study_radial,
     generalized_burns_potential,
-    get_potential,
     hermitian_metric,
     kahler_to_t_potential,
     local_t_potential,
     radial_jet,
     scalar_flat_family,
-    symplectic_potential,
-    t_potential_value,
+    symplectic_evaluator,
 )
+from torickahler.cli import get_potential
+from torickahler.scalarflat import reconstruct_F
 
 from helpers import central_derivative
 
@@ -229,30 +229,39 @@ def test_hermitian_determinant_eigenstructure():
 
 
 def test_symplectic_potential_flat():
-    assert symplectic_potential(flat_potential(), (1.0, 1.0)) == pytest.approx(-1.0, abs=1e-14)
+    assert symplectic_evaluator(flat_potential())((1.0, 1.0)) == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_symplectic_potential_fubini_study():
     expected = 0.5 * (2 * 0.25 * math.log(0.25) + 0.5 * math.log(0.5))
-    got = symplectic_potential(fubini_study_potential(), (0.25, 0.25))
+    got = symplectic_evaluator(fubini_study_potential())((0.25, 0.25))
     assert got == pytest.approx(expected, abs=1e-14)
 
 
 def test_symplectic_potential_near_boundary():
     with pytest.raises(NearBoundaryError):
-        symplectic_potential(flat_potential(), (1.0, 0.0))
+        symplectic_evaluator(flat_potential())((1.0, 0.0))
 
 
 def test_symplectic_potential_t_outside_domain():
     with pytest.raises(DomainError):
-        symplectic_potential(fubini_study_potential(), (0.7, 0.7))
+        symplectic_evaluator(fubini_study_potential())((0.7, 0.7))
+
+
+def test_symplectic_evaluator_needs_closed_form_or_window():
+    bare = custom_potential(generalized_burns_potential().jet_fn, (1.0, math.inf), label="gb_no_value")
+    with pytest.raises(DomainError):
+        symplectic_evaluator(bare)
+    g = symplectic_evaluator(bare, t_window=(1.5, 2.5))
+    with pytest.raises(DomainError):
+        g((0.4, 0.4))  # t = 0.8, outside the potential's domain
 
 
 def test_quadrature_value_matches_closed_form_up_to_affine():
     closed = generalized_burns_potential()
     bare = custom_potential(closed.jet_fn, closed.domain, label="gb_no_value")
     ts = [1.3, 1.8, 2.6, 3.5]
-    diffs = [t_potential_value(bare, t) - closed.value_fn(t) for t in ts]
+    diffs = [reconstruct_F(bare, t)[0] - closed.value_fn(t) for t in ts]
     slopes = [(diffs[i + 1] - diffs[i]) / (ts[i + 1] - ts[i]) for i in range(3)]
     for i in range(2):
         assert slopes[i + 1] == pytest.approx(slopes[i], abs=1e-8)
@@ -269,6 +278,19 @@ def test_local_t_potential_second_derivative():
 def test_local_t_potential_gauge():
     approx = local_t_potential(generalized_burns_potential(), 1.5, 2.5)
     assert approx(1.5) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_local_t_potential_rejects_points_outside_window():
+    approx = local_t_potential(generalized_burns_potential(), 1.5, 2.5)
+    assert math.isfinite(approx(2.5))
+    for t in (1.5 - 1e-9, 2.5 + 1e-9):
+        with pytest.raises(DomainError):
+            approx(t)
+
+
+def test_local_t_potential_needs_an_increasing_window():
+    with pytest.raises(DomainError):
+        local_t_potential(generalized_burns_potential(), 2.5, 1.5)
 
 
 def test_scalar_flat_family_domain_guard():

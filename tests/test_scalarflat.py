@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -165,6 +166,26 @@ def test_delta_check_passes_for_matched_coefficients(n):
     assert report.max_det_deviation < 1e-10
     wide = delta_check(match, [1.0, 2.0, 25.0, 100.0])
     assert wide.passed
+
+
+@pytest.mark.parametrize("n", (3, 200))
+def test_delta_check_fails_for_scaled_quotient(n):
+    # det G^{-1} underflows toward 1e-143 at n = 200; the check compares logs,
+    # so a relative error of 1e-6 in delta still shows.
+    match = solve_boundary_coefficients(n)
+    assert delta_check(match, [1.0, 1.5, 2.0, 5.0, 25.0]).passed
+    scaled = dataclasses.replace(
+        match, quotient=tuple(c * Fraction(1_000_001, 1_000_000) for c in match.quotient)
+    )
+    report = delta_check(scaled, [1.0, 1.5, 2.0, 5.0, 25.0])
+    assert not report.passed
+    assert report.max_det_deviation == pytest.approx(math.log1p(1e-6), rel=1e-4)
+
+
+def test_delta_is_exact_beyond_float_range_of_its_parts():
+    # Q(25) ~ 25^299 overflows a float at n = 300; delta = 2^n t^-n Q(t) ~ 2^n / (t - 1) does not.
+    match = solve_boundary_coefficients(300)
+    assert match.delta(25.0) == pytest.approx(2.0**300 / 24.0, rel=1e-12)
 
 
 def test_delta_check_fails_for_mismatched_coefficients():
