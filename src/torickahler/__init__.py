@@ -17,7 +17,6 @@ from .errors import (
     InsufficientOrderError,
     NearBoundaryError,
     NonAdmissibleError,
-    SingularMetricError,
     SingularPointError,
     ToricError,
 )
@@ -70,6 +69,5 @@ from .scalarflat import (
     solve_boundary_coefficients,
 )
 from .asymptotics import DecayReport, MetricBlocks, chart_deviation, decay_scan, flat_chart, metric_blocks
-from .cli import get_potential
 
 __version__ = "0.1.0"

@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DecayFitError, DomainError, NonAdmissibleError
+from .errors import DecayFitError, DomainError
 from .curvature import hessian_t_family, HessianEval
-from .potentials import TPotential, f2_value
+from .potentials import TPotential, admissible_f2, f2_value
 from .scalarflat import burns_simanca_potential
 
 __all__ = [
@@ -116,9 +116,7 @@ def chart_deviation(pot: TPotential, x: Sequence[float], y: Sequence[float] | No
     if x.size == 0 or np.any(x <= 0.0) or x.shape != y.shape:
         raise DomainError("x must be a point inside the positive orthant and y of its shape")
     t = float(x.sum())
-    f2 = f2_value(pot, t)
-    if 1.0 + t * f2 <= 0.0:
-        raise NonAdmissibleError(f"1 + t F'' = {1.0 + t * f2} <= 0 at t={t}")
+    f2 = admissible_f2(t, f2_value(pot, t))
     n = x.size
     dh = np.zeros((2 * n, 2 * n))
     dh[:n, :n] = 0.5 * f2

@@ -17,20 +17,23 @@ cross-check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegeneratePotentialError,
-    DomainError,
-    NonAdmissibleError,
-    SingularMetricError,
-)
+from .errors import DegeneratePotentialError, DomainError, NonAdmissibleError
 from .jets import derivative, jet_pow, variable
-from .potentials import RadialKahlerPotential, TPotential, f2_jet, f2_value, radial_jet
+from .potentials import (
+    RadialKahlerPotential,
+    TPotential,
+    admissible_f2,
+    f2_jet,
+    f2_value,
+    legendre_dual,
+    radial_derivatives,
+    radial_jet,
+)
 
 __all__ = [
     "HessianEval",
@@ -108,29 +111,37 @@ def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
     if np.any(x <= 0.0):
         raise DomainError("x must lie strictly inside the positive orthant")
     t = float(x.sum())
-    f2 = f2_value(pot, t)
-    if 1.0 + t * f2 <= 0.0:
-        raise NonAdmissibleError(
-            f"1 + t F'' = {1.0 + t * f2} <= 0 at t={t}; the inverse Hessian degenerates"
-        )
+    f2 = admissible_f2(t, f2_value(pot, t))
     G, G_inv, det_G_inv = _t_family_matrices(x, f2)
     return HessianEval(x=x, G=G, G_inv=G_inv, det_G_inv=det_G_inv, posdef=True)
 
 
-def _second_difference_matrix(g: Callable[[np.ndarray], float], x: np.ndarray, h: float) -> np.ndarray:
+def _richardson_second_differences(fn: Callable[[np.ndarray], object], x: np.ndarray, h: float) -> np.ndarray:
+    """Second partials of ``fn`` at ``x``: central differences at h and h/2, one Richardson step.
+
+    ``fn`` may be scalar- or array-valued; entry ``[i, j]`` of the result is
+    d^2 fn / dx_i dx_j, so its shape is (n, n) + the shape of ``fn(x)``.  The
+    centre value is shared by both steps, so ``fn`` is called 1 + 4 n^2 times,
+    each at a distinct point.  Entries (i, j) and (j, i) come from the same four
+    values, so the result is symmetric in its first two axes.
+    """
     n = x.size
-    G = np.empty((n, n))
-    g0 = g(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        G[i, i] = (g(x + ei) - 2.0 * g0 + g(x - ei)) / h**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            val = (g(x + ei + ej) - g(x + ei - ej) - g(x - ei + ej) + g(x - ei - ej)) / (4.0 * h**2)
-            G[i, j] = G[j, i] = val
-    return G
+    center = fn(x)
+
+    def stencil(step: float) -> np.ndarray:
+        e = list(step * np.eye(n))
+        D = np.empty((n, n) + np.shape(center))
+        for i in range(n):
+            D[i, i] = (fn(x + e[i]) - 2.0 * center + fn(x - e[i])) / step**2
+            for j in range(i + 1, n):
+                D[i, j] = D[j, i] = (
+                    fn(x + e[i] + e[j]) - fn(x + e[i] - e[j]) - fn(x - e[i] + e[j]) + fn(x - e[i] - e[j])
+                ) / (4.0 * step**2)
+        return D
+
+    coarse = stencil(h)
+    fine = stencil(h / 2.0)
+    return (4.0 * fine - coarse) / 3.0
 
 
 def hessian_general(
@@ -139,8 +150,8 @@ def hessian_general(
     """Hessian of an arbitrary potential evaluator by central differences.
 
     One Richardson pass over steps (h, h/2) removes the leading h^2 error; the
-    result is symmetrized and inverted by pivoted elimination.  A Hessian whose
-    smallest eigenvalue is negligible against the largest raises
+    result is symmetric by construction and inverted by pivoted elimination.  A
+    Hessian whose smallest eigenvalue is negligible against the largest raises
     :class:`DegeneratePotentialError` rather than returning garbage.  The
     caller must keep ``x`` more than ``2 * step`` away from any boundary of
     ``g``'s domain; the stencil reaches that far.
@@ -148,10 +159,7 @@ def hessian_general(
     x = np.asarray(x, dtype=float)
     if step is None:
         step = max(1e-4, 1e-4 * float(np.linalg.norm(x)))
-    coarse = _second_difference_matrix(g, x, step)
-    fine = _second_difference_matrix(g, x, step / 2.0)
-    G = (4.0 * fine - coarse) / 3.0
-    G = 0.5 * (G + G.T)
+    G = _richardson_second_differences(g, x, step)
 
     eigenvalues = np.linalg.eigvalsh(G)
     largest = float(np.max(np.abs(eigenvalues)))
@@ -176,12 +184,9 @@ def scalar_curvature_reduced(pot: TPotential, n: int, t: float, order: int = 4) 
         raise DomainError("dimension n must be at least 1")
     t = float(t)
     f2 = f2_jet(pot, t, order)
+    admissible_f2(t, f2.value)
     tj = variable(t, order)
     denom = 1.0 + tj * f2
-    if denom.value == 0.0:
-        raise SingularMetricError(f"1 + t F'' vanishes at t={t}")
-    if denom.value < 0.0:
-        raise NonAdmissibleError(f"1 + t F'' = {denom.value} < 0 at t={t}")
     inner = jet_pow(tj, n + 1) * f2 / denom
     return t ** (1 - n) * derivative(inner, 2)
 
@@ -202,7 +207,6 @@ def scalar_curvature_abreu(
     by 1/step^2.  Keep ``x`` more than ``4 * step`` inside the domain.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
     if step is None:
         step = 0.02 * (1.0 + float(np.linalg.norm(x)))
     if hessian_step is None:
@@ -211,29 +215,7 @@ def scalar_curvature_abreu(
     def inv_field(point: np.ndarray) -> np.ndarray:
         return hessian_general(g, point, step=hessian_step).G_inv
 
-    center = inv_field(x)
-
-    def stencil_sum(h: float) -> float:
-        total = 0.0
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            total += (inv_field(x + ei)[i, i] - 2.0 * center[i, i] + inv_field(x - ei)[i, i]) / h**2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h
-                mixed = (
-                    inv_field(x + ei + ej)[i, j]
-                    - inv_field(x + ei - ej)[i, j]
-                    - inv_field(x - ei + ej)[i, j]
-                    + inv_field(x - ei - ej)[i, j]
-                ) / (4.0 * h**2)
-                total += 2.0 * mixed
-        return total
-
-    coarse = stencil_sum(step)
-    fine = stencil_sum(step / 2.0)
-    return -0.5 * (4.0 * fine - coarse) / 3.0
+    return -0.5 * float(np.einsum("ijij", _richardson_second_differences(inv_field, x, step)))
 
 
 def extremal_check(
@@ -293,12 +275,8 @@ def legendre_roundtrip(
     e2a = np.exp(2.0 * a)
     s = float(e2a.sum())
 
-    jet = radial_jet(f, s, 2)
-    f0 = jet.coefficients[0]
-    f1 = jet.coefficients[1]
-    f2r = 2.0 * jet.coefficients[2]
-    gamma_slope = 2.0 * f1 + 2.0 * s * f2r
-    if f1 <= 0.0 or gamma_slope <= 0.0:
+    f0, f1, f2 = radial_derivatives(f, s)
+    if f1 <= 0.0 or f1 + s * f2 <= 0.0:
         raise NonAdmissibleError("radial profile is not admissible at this point")
 
     x = 2.0 * e2a * f1
@@ -311,12 +289,11 @@ def legendre_roundtrip(
     grad = _fd_gradient(f_of_a, a, fd_step * (1.0 + float(np.max(np.abs(a)))))
     gradient_residual = float(np.max(np.abs(grad - x)))
 
-    F = t * math.log(s / t) - 2.0 * f0
-    g_value = 0.5 * (float(np.sum(x * np.log(x))) + F)
+    dual = legendre_dual(f, s, t)
+    g_value = 0.5 * (float(np.sum(x * np.log(x))) + dual.F)
     duality_gap = abs(f0 + g_value - float(np.dot(a, x)))
 
-    F2 = 1.0 / (s * gamma_slope) - 1.0 / t
-    _, G_inv, _ = _t_family_matrices(x, F2)
+    _, G_inv, _ = _t_family_matrices(x, dual.F2)
     hess_a = hessian_general(f_of_a, a, step=fd_step * (1.0 + float(np.max(np.abs(a))))).G
     hessian_residual = float(np.max(np.abs(hess_a - G_inv)))
 

@@ -37,10 +37,6 @@ class DegeneratePotentialError(ToricError, ValueError):
     """A numerically singular Hessian where a metric was expected."""
 
 
-class SingularMetricError(ToricError, ValueError):
-    """The normalization factor 1 + t*F'' vanished; the metric degenerates."""
-
-
 class AccuracyError(ToricError, RuntimeError):
     """A quadrature or fit did not reach the requested accuracy."""
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (
     AccuracyError,
@@ -53,6 +54,7 @@ __all__ = [
     "fubini_study_radial",
     "custom_radial",
     "radial_jet",
+    "radial_derivatives",
     "flat_potential",
     "fubini_study_potential",
     "generalized_burns_potential",
@@ -60,7 +62,9 @@ __all__ = [
     "custom_potential",
     "f2_jet",
     "f2_value",
+    "admissible_f2",
     "admissibility",
+    "legendre_dual",
     "kahler_to_t_potential",
     "hermitian_metric",
     "local_t_potential",
@@ -88,6 +92,12 @@ def radial_jet(f: RadialKahlerPotential, s: float, order: int = DEFAULT_ORDER) -
     if s <= 0.0:
         raise DomainError("radial profiles are defined for s > 0")
     return f.jet_fn(float(s), order)
+
+
+def radial_derivatives(f: RadialKahlerPotential, s: float) -> tuple[float, float, float]:
+    """(f(s), f'(s), f''(s)) read off a second-order radial jet."""
+    c = radial_jet(f, s, 2).coefficients
+    return c[0], c[1], 2.0 * c[2]
 
 
 def flat_radial() -> RadialKahlerPotential:
@@ -130,7 +140,6 @@ class TPotential:
     domain: tuple[float, float]
     jet_fn: Callable[[float, int], TaylorJet] = field(repr=False)
     value_fn: Callable[[float], float] | None = field(default=None, repr=False)
-    params: dict = field(default_factory=dict)
 
 
 def flat_potential() -> TPotential:
@@ -215,7 +224,7 @@ def scalar_flat_family(
             raise DomainError(f"t^{n} - ({a} t + {b}) must be positive; t={t} is outside")
         return numer / (tj * gap)
 
-    return TPotential(label, domain, jfn, params={"n": n, "A": a, "B": b})
+    return TPotential(label, domain, jfn)
 
 
 def custom_potential(
@@ -223,9 +232,8 @@ def custom_potential(
     domain: tuple[float, float],
     label: str = "custom",
     value_fn: Callable[[float], float] | None = None,
-    params: dict | None = None,
 ) -> TPotential:
-    return TPotential(label, domain, jet_fn, value_fn=value_fn, params=params or {})
+    return TPotential(label, domain, jet_fn, value_fn=value_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +263,13 @@ def f2_jet(pot: TPotential, t: float, order: int = 4) -> TaylorJet:
 
 def f2_value(pot: TPotential, t: float) -> float:
     return f2_jet(pot, t, 0).value
+
+
+def admissible_f2(t: float, f2: float) -> float:
+    """Return ``f2 = F''(t)`` after checking 1 + t F'' > 0, the admissibility of the metric."""
+    if 1.0 + t * f2 <= 0.0:
+        raise NonAdmissibleError(f"1 + t F'' = {1.0 + t * f2} <= 0 at t={t}; the inverse Hessian degenerates")
+    return f2
 
 
 class AdmissibilityReport(NamedTuple):
@@ -293,15 +308,24 @@ class TDual(NamedTuple):
     F2: float
 
 
+def legendre_dual(f: RadialKahlerPotential, s: float, t: float) -> TDual:
+    """The Legendre relations at the s where gamma(s) = 2 s f'(s) equals t.
+
+    F(t) = t ln(s/t) - 2 f(s), and F''(t) = 1/(s gamma'(s)) - 1/t follows from
+    differentiating it along the inverse map.
+    """
+    f0, f1, f2 = radial_derivatives(f, s)
+    gamma_slope = 2.0 * f1 + 2.0 * s * f2
+    return TDual(s=s, F=t * math.log(s / t) - 2.0 * f0, F2=1.0 / (s * gamma_slope) - 1.0 / t)
+
+
 def _gamma_and_slope(f: RadialKahlerPotential, s: float) -> tuple[float, float, float]:
     """gamma, gamma', and the magnitude scale of the slope's two terms.
 
     The scale lets callers tell a genuinely negative slope from one that is
     zero up to cancellation (for very large s both terms can dwarf their sum).
     """
-    jet = radial_jet(f, s, 2)
-    f1 = jet.coefficients[1]
-    f2 = 2.0 * jet.coefficients[2]
+    _, f1, f2 = radial_derivatives(f, s)
     slope = 2.0 * f1 + 2.0 * s * f2
     scale = abs(2.0 * f1) + abs(2.0 * s * f2)
     return 2.0 * s * f1, slope, scale
@@ -310,10 +334,9 @@ def _gamma_and_slope(f: RadialKahlerPotential, s: float) -> tuple[float, float, 
 def kahler_to_t_potential(f: RadialKahlerPotential, t: float, *, max_doublings: int = 200) -> TDual:
     """Invert gamma(s) = 2 s f'(s) at ``t`` and return (s, F(t), F''(t)).
 
-    F is obtained from the Legendre relation F(t) = t ln(s/t) - 2 f(s), and
-    F''(t) = 1/(s gamma'(s)) - 1/t follows from differentiating it along the
-    inverse map.  Bracketed bisection (gamma is monotone wherever f is
-    admissible) is followed by a Newton polish.
+    The root is bracketed (gamma is monotone wherever f is admissible) and
+    found by Brent's method to a relative tolerance of 4 eps;
+    :func:`legendre_dual` turns it into F and F''.
     """
     t = float(t)
     if t <= 0.0:
@@ -352,29 +375,10 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float, *, max_doublings: 
         if clearly_negative(slope, scale):
             raise NonAdmissibleError(f"gamma is not invertible on the bracket (slope <= 0 at s = {u})")
 
-    while hi - lo > 1e-13 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        gm, _, _ = _gamma_and_slope(f, mid)
-        if gm < t:
-            lo = mid
-        else:
-            hi = mid
-    s = 0.5 * (lo + hi)
-    for _ in range(3):
-        g, slope, _ = _gamma_and_slope(f, s)
-        if slope <= 0.0:
-            break
-        s -= (g - t) / slope
-        s = min(max(s, lo * 0.5), hi * 2.0)
-
-    jet = radial_jet(f, s, 2)
-    f0 = jet.coefficients[0]
-    f1 = jet.coefficients[1]
-    f2 = 2.0 * jet.coefficients[2]
-    slope = 2.0 * f1 + 2.0 * s * f2
-    value = t * math.log(s / t) - 2.0 * f0
-    second = 1.0 / (s * slope) - 1.0 / t
-    return TDual(s=s, F=value, F2=second)
+    # A negligible xtol leaves the relative tolerance in charge at every scale of s.
+    fp = np.finfo(float)
+    s = brentq(lambda u: _gamma_and_slope(f, u)[0] - t, lo, hi, xtol=fp.tiny, rtol=4.0 * fp.eps)
+    return legendre_dual(f, s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +403,7 @@ def hermitian_metric(f: RadialKahlerPotential, z: Sequence[complex]) -> Hermitia
     s = float(np.vdot(z, z).real)
     if s == 0.0:
         raise DomainError("the origin is excluded; radial profiles live on C^n minus 0")
-    jet = radial_jet(f, s, 2)
-    f1 = jet.coefficients[1]
-    f2 = 2.0 * jet.coefficients[2]
+    _, f1, f2 = radial_derivatives(f, s)
     matrix = f1 * np.eye(z.size, dtype=complex) + f2 * np.outer(z, np.conj(z))
     posdef = f1 > 0.0 and f1 + s * f2 > 0.0
     return HermitianMetric(matrix=matrix, posdef=posdef)

@@ -158,11 +158,9 @@ def burns_simanca_potential(n: int) -> TPotential:
         raise ArithmeticError("quotient normalization Q(1) = 1 failed")
     if any(c < 0 for c in match.quotient[1:]):
         raise ArithmeticError("quotient has a negative non-constant coefficient")
-    pot = scalar_flat_family(
+    return scalar_flat_family(
         n, float(match.A), float(match.B), label="burns_simanca", domain=(1.0, math.inf)
     )
-    pot.params["n"] = n
-    return pot
 
 
 class DeltaCheckReport(NamedTuple):

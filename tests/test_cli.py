@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torickahler
 from torickahler.cli import RunReport, dispatch, emit
 
 
@@ -189,6 +194,19 @@ def test_every_argv_keeps_the_exit_contract(argv, fmt):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = dispatch(argv + ["--format", fmt])
     assert code in (0, 1, 2)
+
+
+def test_module_entry_point_runs_without_warnings():
+    # Importing the package must not import torickahler.cli ahead of runpy.
+    src = str(Path(torickahler.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "torickahler.cli", "derive", "--dim", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unknown_subcommand(capsys):

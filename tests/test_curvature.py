@@ -66,6 +66,17 @@ def test_hessian_non_admissible():
         hessian_t_family(pot, [0.5, 0.5])
 
 
+def test_vanishing_normalization_is_non_admissible():
+    # F'' = -1/t makes 1 + t F'' exactly 0 at t = 2; both routes refuse it alike.
+    pot = custom_potential(
+        lambda t, order: -1.0 / variable(t, order), (0.1, math.inf), label="minus_one_over_t"
+    )
+    with pytest.raises(NonAdmissibleError):
+        hessian_t_family(pot, [1.0, 1.0])
+    with pytest.raises(NonAdmissibleError):
+        scalar_curvature_reduced(pot, 2, 2.0)
+
+
 def test_hessian_requires_interior_point():
     with pytest.raises(DomainError):
         hessian_t_family(flat_potential(), [1.0, -0.5])
@@ -238,6 +249,34 @@ def test_abreu_permutation_invariance():
     reference = scalar_curvature_abreu(g, x)
     for perm in ([0.8, 0.6, 0.7], [0.7, 0.8, 0.6]):
         assert scalar_curvature_abreu(g, perm) == pytest.approx(reference, abs=1e-5)
+
+
+def _counting(g):
+    """Wrap g so that every evaluation point is recorded."""
+    points = []
+
+    def counted(x):
+        points.append(np.asarray(x, dtype=float).tobytes())
+        return g(x)
+
+    return counted, points
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hessian_general_evaluation_count(n):
+    # Each Richardson step adds 2n^2 points around the one shared centre.
+    g, points = _counting(symplectic_evaluator(fubini_study_potential()))
+    hessian_general(g, np.full(n, 0.6 / n))
+    assert len(points) == 1 + 4 * n**2
+    assert len(set(points)) == len(points)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_abreu_evaluation_count(n):
+    g, points = _counting(symplectic_evaluator(fubini_study_potential()))
+    scalar_curvature_abreu(g, np.full(n, 0.6 / n))
+    assert len(points) == (1 + 4 * n**2) ** 2
+    assert len(set(points)) == len(points)
 
 
 def test_t_family_affine_shift_is_exact():

@@ -161,6 +161,20 @@ def test_gamma_monotonicity_matches_radial_admissibility():
         assert admissible == (gamma > 0.0 and gamma_slope > 0.0)
 
 
+@pytest.mark.parametrize(
+    "f, t_range",
+    [(fubini_study_radial(), (1e-3, 1.0 - 1e-3)), (_mixture_radial(1.0, 1.0), (1e-3, 1e3))],
+)
+def test_kahler_to_t_inverts_gamma_to_roundoff(f, t_range):
+    # gamma(s) = 2 s f'(s) at the returned s reproduces t to a few ulps.
+    rng = np.random.default_rng(11)
+    lo, hi = t_range
+    for t in np.exp(rng.uniform(math.log(lo), math.log(hi), 20)):
+        s = kahler_to_t_potential(f, float(t)).s
+        gamma = 2.0 * s * radial_jet(f, s, 1).coefficients[1]
+        assert abs(gamma - t) <= 8.0 * np.finfo(float).eps * t
+
+
 # ---------------------------------------------------------------------------
 # Hermitian matrix on the complex side
 # ---------------------------------------------------------------------------
