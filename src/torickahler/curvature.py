@@ -13,10 +13,15 @@ arithmetic.  Independently, :func:`scalar_curvature_abreu` computes
 for an arbitrary potential evaluator by finite differences of the inverse
 Hessian field.  Agreement of the two routes is the package's main
 cross-check.
+
+A potential evaluator ``g`` maps points of shape ``(..., n)`` to values of
+shape ``(...)``.  The finite differences build their stencil points as one
+array and evaluate ``g`` on whole blocks of them at once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,6 +51,10 @@ __all__ = [
     "extremal_check",
     "legendre_roundtrip",
 ]
+
+#: Most points per ``g`` call in :func:`scalar_curvature_abreu`; bounds the
+#: memory of one batch (Abreu at n = 8 needs 257^2 = 66,049 points).
+STENCIL_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -116,59 +125,81 @@ def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
     return HessianEval(x=x, G=G, G_inv=G_inv, det_G_inv=det_G_inv, posdef=True)
 
 
-def _richardson_second_differences(fn: Callable[[np.ndarray], object], x: np.ndarray, h: float) -> np.ndarray:
-    """Second partials of ``fn`` at ``x``: central differences at h and h/2, one Richardson step.
+def _stencil_points(x: np.ndarray, h: float) -> np.ndarray:
+    """The 1 + 4 n^2 points of the second-difference stencil around each centre.
 
-    ``fn`` may be scalar- or array-valued; entry ``[i, j]`` of the result is
-    d^2 fn / dx_i dx_j, so its shape is (n, n) + the shape of ``fn(x)``.  The
-    centre value is shared by both steps, so ``fn`` is called 1 + 4 n^2 times,
-    each at a distinct point.  Entries (i, j) and (j, i) come from the same four
-    values, so the result is symmetric in its first two axes.
+    ``x`` has shape (..., n) and the result (..., 1 + 4 n^2, n): the centre,
+    then 2 n^2 points at step h and the same 2 n^2 at step h/2, each block
+    ordered +e_i, -e_i (i = 0..n-1), then +e_i+e_j, +e_i-e_j, -e_i+e_j,
+    -e_i-e_j over i < j.  Every point is distinct.
     """
-    n = x.size
-    center = fn(x)
+    n = x.shape[-1]
+    eye = np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    unit = np.concatenate([eye, -eye, eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]])
+    return x[..., None, :] + np.concatenate([np.zeros((1, n)), h * unit, (h / 2.0) * unit])
 
-    def stencil(step: float) -> np.ndarray:
-        e = list(step * np.eye(n))
-        D = np.empty((n, n) + np.shape(center))
-        for i in range(n):
-            D[i, i] = (fn(x + e[i]) - 2.0 * center + fn(x - e[i])) / step**2
-            for j in range(i + 1, n):
-                D[i, j] = D[j, i] = (
-                    fn(x + e[i] + e[j]) - fn(x + e[i] - e[j]) - fn(x - e[i] + e[j]) + fn(x - e[i] - e[j])
-                ) / (4.0 * step**2)
+
+def _richardson_combine(values: np.ndarray, h: float) -> np.ndarray:
+    """Second partials from values on :func:`_stencil_points`: steps h and h/2, one Richardson step.
+
+    ``values`` has the stencil on its last axis, shape (..., 1 + 4 n^2); the
+    result has shape (..., n, n), entry [i, j] being d^2/dx_i dx_j.  Entries
+    (i, j) and (j, i) come from the same four values, so the result is
+    symmetric in its last two axes.
+    """
+    n = math.isqrt((values.shape[-1] - 1) // 4)
+    m = n * (n - 1) // 2
+    i, j = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    center = values[..., :1]
+
+    def at(step_values: np.ndarray, step: float) -> np.ndarray:
+        plus, minus, pp, pm, mp, mm = np.split(step_values, np.cumsum([n, n, m, m, m]), axis=-1)
+        D = np.empty(values.shape[:-1] + (n, n))
+        D[..., diag, diag] = (plus - 2.0 * center + minus) / step**2
+        D[..., i, j] = D[..., j, i] = (pp - pm - mp + mm) / (4.0 * step**2)
         return D
 
-    coarse = stencil(h)
-    fine = stencil(h / 2.0)
+    coarse = at(values[..., 1 : 1 + 2 * n * n], h)
+    fine = at(values[..., 1 + 2 * n * n :], h / 2.0)
     return (4.0 * fine - coarse) / 3.0
 
 
+def _checked_inverse(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and inverses of the Hessians ``G`` (shape (..., n, n)).
+
+    A Hessian whose smallest eigenvalue is negligible against the largest
+    raises :class:`DegeneratePotentialError` rather than returning garbage.
+    """
+    eigenvalues = np.linalg.eigvalsh(G)
+    magnitudes = np.abs(eigenvalues)
+    ratio = magnitudes.min(axis=-1) / np.maximum(1.0, magnitudes.max(axis=-1))
+    if np.any(ratio < 1e-8):
+        raise DegeneratePotentialError(
+            f"Hessian is numerically singular (smallest |eig| / max(1, largest |eig|) = {np.min(ratio):.2e})"
+        )
+    return eigenvalues, np.linalg.inv(G)
+
+
 def hessian_general(
-    g: Callable[[Sequence[float]], float], x: Sequence[float], step: float | None = None
+    g: Callable[[np.ndarray], np.ndarray], x: Sequence[float], step: float | None = None
 ) -> HessianEval:
     """Hessian of an arbitrary potential evaluator by central differences.
 
-    One Richardson pass over steps (h, h/2) removes the leading h^2 error; the
-    result is symmetric by construction and inverted by pivoted elimination.  A
-    Hessian whose smallest eigenvalue is negligible against the largest raises
-    :class:`DegeneratePotentialError` rather than returning garbage.  The
-    caller must keep ``x`` more than ``2 * step`` away from any boundary of
-    ``g``'s domain; the stencil reaches that far.
+    ``g`` maps points of shape (..., n) to values of shape (...); it is called
+    once, on the 1 + 4 n^2 stencil points.  One Richardson pass over steps
+    (h, h/2) removes the leading h^2 error; the result is symmetric by
+    construction.  A numerically singular Hessian raises
+    :class:`DegeneratePotentialError`.  The caller must keep ``x`` more than
+    ``2 * step`` away from any boundary of ``g``'s domain; the stencil reaches
+    that far.
     """
     x = np.asarray(x, dtype=float)
     if step is None:
         step = max(1e-4, 1e-4 * float(np.linalg.norm(x)))
-    G = _richardson_second_differences(g, x, step)
-
-    eigenvalues = np.linalg.eigvalsh(G)
-    largest = float(np.max(np.abs(eigenvalues)))
-    smallest = float(np.min(np.abs(eigenvalues)))
-    if smallest < 1e-8 * max(1.0, largest):
-        raise DegeneratePotentialError(
-            f"Hessian is numerically singular (|eig| range {smallest:.2e} .. {largest:.2e})"
-        )
-    G_inv = np.linalg.inv(G)
+    G = _richardson_combine(np.asarray(g(_stencil_points(x, step))), step)
+    eigenvalues, G_inv = _checked_inverse(G)
     return HessianEval(
         x=x,
         G=G,
@@ -192,19 +223,24 @@ def scalar_curvature_reduced(pot: TPotential, n: int, t: float, order: int = 4) 
 
 
 def scalar_curvature_abreu(
-    g: Callable[[Sequence[float]], float],
+    g: Callable[[np.ndarray], np.ndarray],
     x: Sequence[float],
     step: float | None = None,
     hessian_step: float | None = None,
 ) -> float:
     """S = -(1/2) sum_ij d^2 G^ij / dx_i dx_j by finite differences.
 
-    The inverse-Hessian field is sampled through :func:`hessian_general` and
-    differentiated with central stencils of width ``step``, with one Richardson
-    extrapolation over (step, step/2).  The inner Hessian step is wider than
-    the standalone default: the composition is a fourth derivative of g, and a
-    too-small inner step leaves rounding noise that the outer stencil amplifies
-    by 1/step^2.  Keep ``x`` more than ``4 * step`` inside the domain.
+    ``g`` maps points of shape (..., n) to values of shape (...).  The Hessian
+    G is taken by the stencil of :func:`hessian_general` at each point of an
+    outer stencil of width ``step`` around ``x``; the inner stencils of
+    consecutive outer points are evaluated together, ``STENCIL_BLOCK`` points
+    per ``g`` call at most (one outer point's stencil if that is larger).
+    Every G is checked for degeneracy and inverted, and G^{-1} is
+    differentiated on the outer stencil with one Richardson extrapolation
+    over (step, step/2).  The inner Hessian step is wider than the standalone
+    default: the composition is a fourth derivative of g, and a too-small
+    inner step leaves rounding noise that the outer stencil amplifies by
+    1/step^2.  Keep ``x`` more than ``4 * step`` inside the domain.
     """
     x = np.asarray(x, dtype=float)
     if step is None:
@@ -212,10 +248,16 @@ def scalar_curvature_abreu(
     if hessian_step is None:
         hessian_step = 1.5e-3 * (1.0 + float(np.linalg.norm(x)))
 
-    def inv_field(point: np.ndarray) -> np.ndarray:
-        return hessian_general(g, point, step=hessian_step).G_inv
-
-    return -0.5 * float(np.einsum("ijij", _richardson_second_differences(inv_field, x, step)))
+    outer = _stencil_points(x, step)
+    per_call = max(1, STENCIL_BLOCK // len(outer))
+    blocks = [outer[k : k + per_call] for k in range(0, len(outer), per_call)]
+    G = np.concatenate(
+        [_richardson_combine(np.asarray(g(_stencil_points(b, hessian_step))), hessian_step) for b in blocks]
+    )
+    _, G_inv = _checked_inverse(G)
+    # D[k, l, i, j] = d^2 G^kl / dx_i dx_j
+    D = _richardson_combine(np.moveaxis(G_inv, 0, -1), step)
+    return -0.5 * float(np.einsum("ijij", D))
 
 
 def extremal_check(
@@ -250,13 +292,9 @@ def extremal_check(
     )
 
 
-def _fd_gradient(fn: Callable[[np.ndarray], float], a: np.ndarray, h: float) -> np.ndarray:
-    grad = np.empty_like(a)
-    for i in range(a.size):
-        ei = np.zeros(a.size)
-        ei[i] = h
-        grad[i] = (fn(a + ei) - fn(a - ei)) / (2.0 * h)
-    return grad
+def _fd_gradient(fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray, h: float) -> np.ndarray:
+    e = h * np.eye(a.size)
+    return (fn(a + e) - fn(a - e)) / (2.0 * h)
 
 
 def legendre_roundtrip(
@@ -282,9 +320,10 @@ def legendre_roundtrip(
     x = 2.0 * e2a * f1
     t = float(x.sum())
 
-    def f_of_a(av: np.ndarray) -> float:
-        sv = float(np.exp(2.0 * av).sum())
-        return radial_jet(f, sv, 0).value
+    def f_of_a(av: np.ndarray) -> np.ndarray:
+        # Radial jets take one s at a time.
+        sv = np.exp(2.0 * av).sum(axis=-1)
+        return np.reshape([radial_jet(f, float(v), 0).value for v in np.ravel(sv)], np.shape(sv))
 
     grad = _fd_gradient(f_of_a, a, fd_step * (1.0 + float(np.max(np.abs(a)))))
     gradient_residual = float(np.max(np.abs(grad - x)))

@@ -4,13 +4,17 @@ A polytope is described by its facet inequalities ``l_i(x) = <x, u_i> - lam_i >=
 with primitive integer inward normals ``u_i``.  Three standard families are
 built in: the positive orthant, the standard simplex, and the orthant with its
 corner vertex truncated (the one-point blow-up).
+
+Facet functionals, :func:`facet_values` and :func:`canonical_potential` take
+points of shape ``(..., n)``: one point or a whole batch in one call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DimensionError, NearBoundaryError
 
@@ -31,7 +35,7 @@ BOUNDARY_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class AffineFunctional:
-    """The facet functional x -> <x, normal> - offset."""
+    """The facet functional x -> <x, normal> - offset, for x of shape (..., n)."""
 
     normal: tuple[int, ...]
     offset: float
@@ -43,12 +47,13 @@ class AffineFunctional:
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", float(self.offset))
 
-    def __call__(self, x: Sequence[float]) -> float:
-        if len(x) != len(self.normal):
+    def __call__(self, x: Sequence[float] | np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (len(self.normal),):
             raise DimensionError(
-                f"point has length {len(x)}, facet normal has length {len(self.normal)}"
+                f"point has shape {x.shape}, facet normal has length {len(self.normal)}"
             )
-        return sum(u * float(v) for u, v in zip(self.normal, x)) - self.offset
+        return np.einsum("...i,i->...", x, np.asarray(self.normal, dtype=float)) - self.offset
 
 
 @dataclass(frozen=True)
@@ -91,22 +96,30 @@ def build_standard(kind: str, n: int) -> DelzantPolytope:
     return DelzantPolytope(n, facets, label=kind)
 
 
-def facet_values(poly: DelzantPolytope, x: Sequence[float]) -> list[float]:
-    """Evaluate every facet functional at ``x``; all positive means interior."""
-    if len(x) != poly.dim:
-        raise DimensionError(f"point has length {len(x)}, polytope dimension is {poly.dim}")
-    return [facet(x) for facet in poly.facets]
+def facet_values(poly: DelzantPolytope, x: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Every facet functional at ``x`` (shape ``(..., n)``), stacked on a last axis.
+
+    All positive means interior.
+    """
+    return np.stack([facet(x) for facet in poly.facets], axis=-1)
 
 
-def is_interior(poly: DelzantPolytope, x: Sequence[float], cutoff: float = 0.0) -> bool:
-    return all(v > cutoff for v in facet_values(poly, x))
+def is_interior(poly: DelzantPolytope, x: Sequence[float] | np.ndarray, cutoff: float = 0.0) -> np.ndarray:
+    return np.all(facet_values(poly, x) > cutoff, axis=-1)
 
 
-def canonical_potential(poly: DelzantPolytope, x: Sequence[float]) -> float:
-    """The convex function (1/2) sum_i l_i(x) ln l_i(x) on the interior."""
-    values = facet_values(poly, x)
-    if min(values) < BOUNDARY_CUTOFF:
-        raise NearBoundaryError(
-            f"point within {BOUNDARY_CUTOFF} of the boundary; log terms degenerate"
-        )
-    return 0.5 * sum(v * math.log(v) for v in values)
+def canonical_potential(poly: DelzantPolytope, x: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The convex function (1/2) sum_i l_i(x) ln l_i(x) on the interior.
+
+    ``x`` has shape ``(..., n)`` and the result shape ``(...)``; one point gives
+    a float.  Every point must be at least ``BOUNDARY_CUTOFF`` inside.
+    """
+    total = 0.0
+    for facet in poly.facets:
+        values = facet(x)
+        if np.any(values < BOUNDARY_CUTOFF):
+            raise NearBoundaryError(
+                f"point within {BOUNDARY_CUTOFF} of the boundary; log terms degenerate"
+            )
+        total = total + values * np.log(values)
+    return 0.5 * total

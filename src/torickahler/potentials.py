@@ -22,6 +22,12 @@ have three routes, each with its own role:
   ``F''``, the reference that the Chebyshev route is checked against.
 
 :func:`symplectic_evaluator` is the one assembly of ``g`` from the first two.
+
+Every potential evaluator here takes points of shape ``(..., n)`` and returns
+values of shape ``(...)``, so a whole finite-difference stencil is one call; a
+single point gives a float.  The same holds for F routes in t: ``value_fn``
+and :func:`local_t_potential` map t of any shape elementwise.  Their domain
+checks apply to every point of a batch.
 """
 
 from __future__ import annotations
@@ -131,15 +137,16 @@ def custom_radial(jet_fn: Callable[[float, int], TaylorJet], label: str = "custo
 class TPotential:
     """Radial part of a symplectic potential, described through jets of F''.
 
-    ``value_fn``, when present, is a closed form for ``F`` itself.  Without it
-    ``F`` values come from integrating ``F''`` in an arbitrary affine gauge,
-    which is invisible to Hessians and curvature.
+    ``value_fn``, when present, is a closed form for ``F`` itself, applied
+    elementwise to a float or an array of t.  Without it ``F`` values come from
+    integrating ``F''`` in an arbitrary affine gauge, which is invisible to
+    Hessians and curvature.
     """
 
     label: str
     domain: tuple[float, float]
     jet_fn: Callable[[float, int], TaylorJet] = field(repr=False)
-    value_fn: Callable[[float], float] | None = field(default=None, repr=False)
+    value_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
 
 def flat_potential() -> TPotential:
@@ -162,7 +169,7 @@ def fubini_study_potential() -> TPotential:
         "fubini_study",
         (0.0, 1.0),
         jfn,
-        value_fn=lambda t: (1.0 - t) * math.log1p(-t),
+        value_fn=lambda t: (1.0 - t) * np.log1p(-t),
     )
 
 
@@ -177,8 +184,8 @@ def generalized_burns_potential() -> TPotential:
         tj = variable(t, order)
         return 1.0 / (tj * (tj - 1.0))
 
-    def value(t: float) -> float:
-        return (t - 1.0) * math.log(t - 1.0) - t * math.log(t) - t + 1.0
+    def value(t):
+        return (t - 1.0) * np.log(t - 1.0) - t * np.log(t) - t + 1.0
 
     return TPotential("generalized_burns", (1.0, math.inf), jfn, value_fn=value)
 
@@ -207,7 +214,10 @@ def scalar_flat_family(
     """The two-parameter family F''(t) = (a t + b) / (t (t^n - a t - b)).
 
     Every member is scalar-flat in dimension ``n`` wherever it is admissible,
-    i.e. wherever ``t^n - a t - b > 0``.
+    i.e. wherever ``t^n - a t - b > 0``.  Where ``t^n`` would come near
+    overflow (n ln t > 300) the jet is built from ``s = (a t + b) t^(-n)`` as
+    ``F'' = s / (t (1 - s))``; elsewhere from ``t^n`` itself, since near t = 1
+    the scaled form loses digits to the cancellation in ``1 - s``.
     """
     if n < 1:
         raise DimensionError("the family needs dimension n >= 1")
@@ -219,7 +229,11 @@ def scalar_flat_family(
     def jfn(t: float, order: int) -> TaylorJet:
         tj = variable(t, order)
         numer = a * tj + b
-        gap = jet_pow(tj, n) - numer
+        if n * math.log(t) > 300.0:
+            numer = numer * jet_pow(1.0 / tj, n)
+            gap = 1.0 - numer
+        else:
+            gap = jet_pow(tj, n) - numer
         if gap.value <= 0.0:
             raise DomainError(f"t^{n} - ({a} t + {b}) must be positive; t={t} is outside")
         return numer / (tj * gap)
@@ -231,7 +245,7 @@ def custom_potential(
     jet_fn: Callable[[float, int], TaylorJet],
     domain: tuple[float, float],
     label: str = "custom",
-    value_fn: Callable[[float], float] | None = None,
+    value_fn: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> TPotential:
     return TPotential(label, domain, jet_fn, value_fn=value_fn)
 
@@ -241,14 +255,20 @@ def custom_potential(
 # ---------------------------------------------------------------------------
 
 
-def _check_t(pot: TPotential, t: float) -> None:
+def _check_t(pot: TPotential, t: float | np.ndarray) -> None:
+    """Raise :class:`DomainError` unless every t is finite and DOMAIN_MARGIN inside the domain.
+
+    ``t`` is a float or an array; an array passes exactly when its smallest and
+    largest entries do (a NaN anywhere makes both NaN, which fails).
+    """
     lo, hi = pot.domain
-    inside = t - lo >= DOMAIN_MARGIN and (math.isinf(hi) or hi - t >= DOMAIN_MARGIN)
-    if not (inside and math.isfinite(t)):
-        raise DomainError(
-            f"t={t} is outside the domain ({lo}, {hi}) of potential {pot.label!r} "
-            f"(margin {DOMAIN_MARGIN})"
-        )
+    for v in (float(t.min()), float(t.max())) if isinstance(t, np.ndarray) else (float(t),):
+        inside = v - lo >= DOMAIN_MARGIN and (math.isinf(hi) or hi - v >= DOMAIN_MARGIN)
+        if not (inside and math.isfinite(v)):
+            raise DomainError(
+                f"t={v} is outside the domain ({lo}, {hi}) of potential {pot.label!r} "
+                f"(margin {DOMAIN_MARGIN})"
+            )
 
 
 def f2_jet(pot: TPotential, t: float, order: int = 4) -> TaylorJet:
@@ -319,6 +339,11 @@ def legendre_dual(f: RadialKahlerPotential, s: float, t: float) -> TDual:
     return TDual(s=s, F=t * math.log(s / t) - 2.0 * f0, F2=1.0 / (s * gamma_slope) - 1.0 / t)
 
 
+def _gamma(f: RadialKahlerPotential, s: float) -> float:
+    """gamma(s) = 2 s f'(s), read off a first-order radial jet."""
+    return 2.0 * s * radial_jet(f, s, 1).coefficients[1]
+
+
 def _gamma_and_slope(f: RadialKahlerPotential, s: float) -> tuple[float, float, float]:
     """gamma, gamma', and the magnitude scale of the slope's two terms.
 
@@ -377,7 +402,7 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float, *, max_doublings: 
 
     # A negligible xtol leaves the relative tolerance in charge at every scale of s.
     fp = np.finfo(float)
-    s = brentq(lambda u: _gamma_and_slope(f, u)[0] - t, lo, hi, xtol=fp.tiny, rtol=4.0 * fp.eps)
+    s = brentq(lambda u: _gamma(f, u) - t, lo, hi, xtol=fp.tiny, rtol=4.0 * fp.eps)
     return legendre_dual(f, s, t)
 
 
@@ -420,15 +445,16 @@ def local_t_potential(
     t_hi: float,
     tol: float = 1e-12,
     max_nodes: int = 256,
-) -> Callable[[float], float]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """Fast polynomial stand-in for F on [t_lo, t_hi], gauged F(t_lo) = F'(t_lo) = 0.
 
     F'' is interpolated at Chebyshev nodes and integrated twice exactly; the
     interpolation is validated against direct F'' values and refined until it
     is below ``tol``.  Intended for finite-difference work that hits F at many
     nearby points where per-call quadrature would dominate the runtime.  The
-    returned callable raises :class:`DomainError` outside the window rather
-    than extrapolate.
+    returned callable maps a float or an array of t elementwise and raises
+    :class:`DomainError` if any t lies outside the window, rather than
+    extrapolate.
     """
     t_lo, t_hi = float(t_lo), float(t_hi)
     if not t_lo < t_hi:
@@ -461,25 +487,27 @@ def local_t_potential(
     antiderivative = series.integ(2, lbnd=t_lo)
     inner_coeffs = antiderivative.coef.copy()
 
-    def value(t: float) -> float:
-        t = float(t)
-        if not t_lo <= t <= t_hi:
-            raise DomainError(f"t={t} is outside the Chebyshev window [{t_lo}, {t_hi}]")
-        xi = (t - mid) / half
-        return float(np.polynomial.chebyshev.chebval(xi, inner_coeffs))
+    def value(t):
+        t_min, t_max = np.min(t), np.max(t)
+        if not (t_lo <= t_min and t_max <= t_hi):
+            bad = t_max if t_lo <= t_min else t_min
+            raise DomainError(f"t={bad} is outside the Chebyshev window [{t_lo}, {t_hi}]")
+        return np.polynomial.chebyshev.chebval((t - mid) / half, inner_coeffs)
 
     return value
 
 
 def symplectic_evaluator(
     pot: TPotential, t_window: tuple[float, float] | None = None
-) -> Callable[[Sequence[float]], float]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """The callable x -> g(x) = (1/2)(sum x_i ln x_i + F(t)) at interior points.
 
-    With a closed-form F the evaluation is direct and ``t_window`` is ignored.
-    Otherwise ``t_window`` is required and selects a gauge-fixed local
-    polynomial for F (see :func:`local_t_potential`).  Every call checks that
-    x is inside the orthant and t inside the potential's domain.
+    ``x`` has shape ``(..., n)`` and ``g(x)`` shape ``(...)``; one point gives
+    a float.  With a closed-form F the evaluation is direct and ``t_window`` is
+    ignored.  Otherwise ``t_window`` is required and selects a gauge-fixed
+    local polynomial for F (see :func:`local_t_potential`).  Every call checks
+    that each point is inside the orthant and its t inside the potential's
+    domain.
     """
     if pot.value_fn is not None:
         f_of_t = pot.value_fn
@@ -488,16 +516,12 @@ def symplectic_evaluator(
     else:
         raise DomainError(f"potential {pot.label!r} has no closed-form F; give a t_window")
 
-    def g(x: Sequence[float]) -> float:
-        total = 0.0
-        t = 0.0
-        for v in x:
-            v = float(v)
-            if v < BOUNDARY_CUTOFF:
-                raise NearBoundaryError("x must be strictly inside the orthant")
-            total += v * math.log(v)
-            t += v
+    def g(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if np.any(x < BOUNDARY_CUTOFF):
+            raise NearBoundaryError("x must be strictly inside the orthant")
+        t = x.sum(axis=-1)
         _check_t(pot, t)
-        return 0.5 * (total + f_of_t(t))
+        return 0.5 * (np.einsum("...i,...i->...", x, np.log(x)) + f_of_t(t))
 
     return g

@@ -197,7 +197,10 @@ def delta_check(
             return DeltaCheckReport(False, value, math.inf, t)
     min_delta = min(deltas.values())
 
-    pot = scalar_flat_family(match.n, float(match.A), float(match.B))
+    # Every sample reaching the Hessian has t > 1 and delta(t) > 0, hence
+    # t^n - A t - B > 0; so the domain is the checked interval [1, inf), not the
+    # largest root of t^n - A t - B, whose companion-matrix solve costs O(n^3).
+    pot = scalar_flat_family(match.n, float(match.A), float(match.B), domain=(1.0, math.inf))
     rng = np.random.default_rng(seed)
     max_deviation = 0.0
     for t in ts:

@@ -284,5 +284,47 @@ def test_criterion_10_admissibility_gates():
     _report(10, "admissibility_gates", True, "400 samples, zero disagreements")
 
 
+def test_criterion_11_cross_oracle_high_dimensions():
+    # Criterion 06 in n = 5..8, with a tolerance scaled by |S| (S = n(n+1) is
+    # 72 for Fubini-Study at n = 8).  Points are t w / sum(w), so that every
+    # dimension has admissible Fubini-Study samples.
+    rng = np.random.default_rng(111)
+    start = time.perf_counter()
+    worst = 0.0
+    for count in range(50):
+        kind = count % 4
+        n = int(rng.integers(5, 9))
+        w = rng.uniform(0.5, 1.0, n)
+        if kind == 0:
+            pot = flat_potential()
+            x = rng.uniform(0.4, 1.2, n)
+        elif kind == 1:
+            pot = fubini_study_potential()
+            x = rng.uniform(0.3, 0.8) * w / w.sum()
+        elif kind == 2:
+            pot = generalized_burns_potential()
+            x = rng.uniform(1.6, 3.0) * w / w.sum()
+        else:
+            pot = burns_simanca_potential(n)
+            x = rng.uniform(1.6, 3.0) * w / w.sum()
+        t = float(x.sum())
+        lo, hi = pot.domain
+        margins = [float(np.min(x)), t - lo]
+        if np.isfinite(hi):
+            margins.append(hi - t)
+        step = min(0.02 * (1.0 + float(np.linalg.norm(x))), min(margins) / 4.5)
+        window = None
+        if pot.value_fn is None:
+            radius = min(0.5, 0.6 * (t - lo))
+            window = (t - radius, t + radius)
+        g = symplectic_evaluator(pot, t_window=window)
+        s_fd = scalar_curvature_abreu(g, x, step=step)
+        s_jet = scalar_curvature_reduced(pot, n, t)
+        worst = max(worst, abs(s_fd - s_jet) / (1.0 + abs(s_jet)))
+    elapsed = time.perf_counter() - start
+    ok = worst < 1e-4 and elapsed < 30.0
+    _report(11, "cross_oracle_high_dimensions", ok, f"50 samples n=5..8, max scaled gap = {worst:.2e}, {elapsed:.1f}s")
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-v", "-s"]))

@@ -56,6 +56,13 @@ def test_derive_blowup_dim3(capsys):
     assert results["quotient_coefficients"]["measured"] == [1, 1, -1]
 
 
+def test_derive_high_dimension(capsys):
+    # t^300 overflows at the sample t = 25; the family's F'' jet must not form it.
+    code, out = run(capsys, "derive", "--dim", "300")
+    assert code == 0
+    assert json.loads(out)["overall"] == "pass"
+
+
 def test_derive_rejects_other_polytopes(capsys):
     code, _ = run(capsys, "derive", "--polytope", "simplex", "--dim", "3")
     assert code == 2

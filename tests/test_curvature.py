@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from torickahler.curvature import (
+    STENCIL_BLOCK,
     extremal_check,
     hessian_general,
     hessian_t_family,
@@ -140,7 +141,7 @@ def test_hessian_general_matches_closed_form():
 
 def test_hessian_general_degenerate():
     with pytest.raises(DegeneratePotentialError):
-        hessian_general(lambda x: 1.0 + 2.0 * x[0] - x[1], [1.0, 1.0])
+        hessian_general(lambda x: 1.0 + 2.0 * x[..., 0] - x[..., 1], [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,7 @@ def test_abreu_matches_reduced_on_catalog():
 def test_abreu_affine_shift_invariance():
     pot = fubini_study_potential()
     g = symplectic_evaluator(pot)
-    shifted = lambda x: g(x) + 0.3 + 0.1 * x[0] - 0.2 * x[1]
+    shifted = lambda x: g(x) + 0.3 + 0.1 * x[..., 0] - 0.2 * x[..., 1]
     x = [0.2, 0.25]
     base_h = hessian_general(g, x)
     shift_h = hessian_general(shifted, x)
@@ -252,11 +253,12 @@ def test_abreu_permutation_invariance():
 
 
 def _counting(g):
-    """Wrap g so that every evaluation point is recorded."""
+    """Wrap g so that every evaluation point, each row of a batch, is recorded."""
     points = []
 
     def counted(x):
-        points.append(np.asarray(x, dtype=float).tobytes())
+        x = np.asarray(x, dtype=float)
+        points.extend(row.tobytes() for row in x.reshape(-1, x.shape[-1]))
         return g(x)
 
     return counted, points
@@ -277,6 +279,27 @@ def test_abreu_evaluation_count(n):
     scalar_curvature_abreu(g, np.full(n, 0.6 / n))
     assert len(points) == (1 + 4 * n**2) ** 2
     assert len(set(points)) == len(points)
+
+
+def test_abreu_rejects_degenerate_hessian():
+    with pytest.raises(DegeneratePotentialError):
+        scalar_curvature_abreu(lambda x: x[..., 0] ** 2, [1.0, 1.0])
+
+
+def test_abreu_evaluates_the_stencil_in_blocks():
+    # n = 8: (1 + 4 n^2)^2 = 257^2 points, at most STENCIL_BLOCK per g call.
+    n = 8
+    base = symplectic_evaluator(fubini_study_potential())
+    batches = []
+
+    def g(x):
+        batches.append(math.prod(np.shape(x)[:-1]))
+        return base(x)
+
+    s = scalar_curvature_abreu(g, np.full(n, 0.6 / n))
+    assert len(batches) <= math.ceil(257**2 / STENCIL_BLOCK)
+    assert sum(batches) == 257**2
+    assert s == pytest.approx(n * (n + 1.0), abs=1e-4 * (1.0 + n * (n + 1.0)))
 
 
 def test_t_family_affine_shift_is_exact():

@@ -132,3 +132,20 @@ def test_facet_values_are_affine():
             for u, v in zip(facet_values(poly, x), facet_values(poly, y))
         ]
         assert mixed == pytest.approx(combo, abs=1e-12)
+
+
+def test_batched_canonical_potential_matches_row_by_row():
+    rng = np.random.default_rng(22)
+    for kind, n, t_range in (("orthant", 3, (0.5, 4.0)), ("simplex", 3, (0.2, 0.9)), ("blowup", 4, (1.5, 3.0))):
+        poly = build_standard(kind, n)
+        w = rng.uniform(0.5, 1.0, (6, 7, n))
+        x = rng.uniform(*t_range, (6, 7, 1)) * w / w.sum(axis=-1, keepdims=True)
+        batch = canonical_potential(poly, x)
+        rows = np.array([[canonical_potential(poly, point) for point in block] for block in x])
+        assert batch.shape == (6, 7)
+        np.testing.assert_allclose(batch, rows, rtol=1e-15, atol=0.0)
+        assert isinstance(canonical_potential(poly, x[0, 0]), float)
+        # One row on the wrong side of a facet fails the whole batch.
+        x[3, 2] = 0.01 * x[3, 2] if kind == "blowup" else -x[3, 2]
+        with pytest.raises(NearBoundaryError):
+            canonical_potential(poly, x)

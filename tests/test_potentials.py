@@ -271,6 +271,52 @@ def test_symplectic_evaluator_needs_closed_form_or_window():
         g((0.4, 0.4))  # t = 0.8, outside the potential's domain
 
 
+def _gb_chebyshev():
+    bare = custom_potential(generalized_burns_potential().jet_fn, (1.0, math.inf), label="gb_no_value")
+    return symplectic_evaluator(bare, t_window=(1.5, 2.5))
+
+
+@pytest.mark.parametrize(
+    "make_g, t_range",
+    [
+        (lambda: symplectic_evaluator(flat_potential()), (0.5, 4.0)),
+        (lambda: symplectic_evaluator(fubini_study_potential()), (0.2, 0.9)),
+        (lambda: symplectic_evaluator(generalized_burns_potential()), (1.2, 4.0)),
+        (_gb_chebyshev, (1.6, 2.4)),
+    ],
+    ids=["flat", "fubini_study", "generalized_burns", "chebyshev"],
+)
+def test_batched_evaluator_matches_row_by_row(make_g, t_range):
+    rng = np.random.default_rng(21)
+    w = rng.uniform(0.5, 1.0, (3, 5, 4))
+    x = rng.uniform(*t_range, (3, 5, 1)) * w / w.sum(axis=-1, keepdims=True)
+    g = make_g()
+    batch = g(x)
+    rows = np.array([[g(point) for point in block] for block in x])
+    assert batch.shape == (3, 5)
+    assert isinstance(g(x[0, 0]), float)
+    np.testing.assert_allclose(batch, rows, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "make_g, good, row, error",
+    [
+        (lambda: symplectic_evaluator(fubini_study_potential()), 0.2, [0.2, -0.1, 0.2], NearBoundaryError),
+        (lambda: symplectic_evaluator(fubini_study_potential()), 0.2, [0.4, 0.4, 0.4], DomainError),
+        (lambda: symplectic_evaluator(fubini_study_potential()), 0.2, [0.2, math.nan, 0.2], DomainError),
+        (_gb_chebyshev, 2.0 / 3.0, [1.0, 1.0, 0.8], DomainError),
+    ],
+    ids=["orthant", "t_domain", "nan", "chebyshev_window"],
+)
+def test_one_bad_row_fails_the_whole_batch(make_g, good, row, error):
+    g = make_g()
+    x = np.full((4, 3), good)
+    g(x)
+    x[2] = row
+    with pytest.raises(error):
+        g(x)
+
+
 def test_quadrature_value_matches_closed_form_up_to_affine():
     closed = generalized_burns_potential()
     bare = custom_potential(closed.jet_fn, closed.domain, label="gb_no_value")
