@@ -209,12 +209,18 @@ def hessian_general(
     )
 
 
-def scalar_curvature_reduced(pot: TPotential, n: int, t: float, order: int = 4) -> float:
-    """S = t^(1-n) (t^(n+1) F'' / (1 + t F''))'' via jet arithmetic."""
+def scalar_curvature_reduced(
+    pot: TPotential, n: int, t: float | np.ndarray, order: int = 4
+) -> float | np.ndarray:
+    """S = t^(1-n) (t^(n+1) F'' / (1 + t F''))'' via jet arithmetic.
+
+    An array of t is evaluated as one batch of jets and gives S elementwise;
+    every t must be in the domain and admissible.
+    """
     if n < 1:
         raise DomainError("dimension n must be at least 1")
-    t = float(t)
     f2 = f2_jet(pot, t, order)
+    t = f2.base  # a float, or the batch as a float ndarray
     admissible_f2(t, f2.value)
     tj = variable(t, order)
     denom = 1.0 + tj * f2
@@ -268,22 +274,24 @@ def extremal_check(
 ) -> CurvatureReport:
     """Least-squares affine fit of S(t) over samples; extremal means tiny residual.
 
+    S is evaluated at all samples in one batch of jets.
+
     For radial metrics S depends on x only through t, so affinity in t is the
     checkable form of "S is an affine function of x".  The default tolerance is
     scale-free: 1e-6 * (1 + max |S|).
     """
-    ts = [float(t) for t in t_samples]
+    ts = np.array([float(t) for t in t_samples])
     if len(ts) < 2:
-        raise ValueError("need at least two t samples")
-    values = [scalar_curvature_reduced(pot, n, t) for t in ts]
-    design = np.column_stack([np.ones(len(ts)), np.asarray(ts)])
-    coeffs, *_ = np.linalg.lstsq(design, np.asarray(values), rcond=None)
-    residuals = np.asarray(values) - design @ coeffs
+        raise DomainError("need at least two t samples")
+    values = scalar_curvature_reduced(pot, n, ts)
+    design = np.column_stack([np.ones(len(ts)), ts])
+    coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
+    residuals = values - design @ coeffs
     max_residual = float(np.max(np.abs(residuals)))
     if tolerance is None:
         tolerance = 1e-6 * (1.0 + float(np.max(np.abs(values))))
     return CurvatureReport(
-        points=tuple(zip(ts, values)),
+        points=tuple(zip(ts.tolist(), values.tolist())),
         fit_intercept=float(coeffs[0]),
         fit_slope=float(coeffs[1]),
         max_residual=max_residual,
@@ -321,9 +329,7 @@ def legendre_roundtrip(
     t = float(x.sum())
 
     def f_of_a(av: np.ndarray) -> np.ndarray:
-        # Radial jets take one s at a time.
-        sv = np.exp(2.0 * av).sum(axis=-1)
-        return np.reshape([radial_jet(f, float(v), 0).value for v in np.ravel(sv)], np.shape(sv))
+        return radial_jet(f, np.exp(2.0 * av).sum(axis=-1), 0).value
 
     grad = _fd_gradient(f_of_a, a, fd_step * (1.0 + float(np.max(np.abs(a)))))
     gradient_residual = float(np.max(np.abs(grad - x)))

@@ -12,6 +12,9 @@ the monotone map ``gamma(s) = 2 s f'(s)``.
 T-potentials are handled through jets of ``F''`` rather than values of ``F``:
 every curvature quantity depends on ``F`` only through its second derivative,
 and the interesting scalar-flat family is closed-form only at that level.
+Jet evaluators take one t (a float) or a batch (an ndarray) and return a
+scalar or a batched :class:`~torickahler.jets.TaylorJet`; the catalog's are
+built from jet arithmetic, which serves both alike.
 Values of ``F`` itself, needed only to assemble ``g`` for finite differences,
 have three routes, each with its own role:
 
@@ -47,7 +50,7 @@ from .errors import (
     NearBoundaryError,
     NonAdmissibleError,
 )
-from .jets import DEFAULT_ORDER, TaylorJet, constant, jet_pow, ln_jet, variable
+from .jets import DEFAULT_ORDER, TaylorJet, _same_base, constant, jet_pow, ln_jet, variable
 from .polytope import BOUNDARY_CUTOFF
 
 __all__ = [
@@ -88,16 +91,33 @@ DOMAIN_MARGIN = 1e-10
 
 @dataclass(frozen=True)
 class RadialKahlerPotential:
-    """Radial profile ``f(s)`` supplied as a jet evaluator."""
+    """Radial profile ``f(s)`` supplied as a jet evaluator of one s or a batch."""
 
     label: str
-    jet_fn: Callable[[float, int], TaylorJet] = field(repr=False)
+    jet_fn: Callable[[float | np.ndarray, int], TaylorJet] = field(repr=False)
 
 
-def radial_jet(f: RadialKahlerPotential, s: float, order: int = DEFAULT_ORDER) -> TaylorJet:
-    if s <= 0.0:
+def _as_points(t) -> float | np.ndarray:
+    """One evaluation point as a float, a batch of them as a nonempty float ndarray."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        return float(t)
+    if t.size == 0:
+        raise DomainError("a batch of evaluation points must not be empty")
+    return t
+
+
+def _smallest(t: float | np.ndarray) -> float:
+    """The point itself, or the smallest point of a batch (NaN if any is NaN)."""
+    return float(t.min()) if isinstance(t, np.ndarray) else t
+
+
+def radial_jet(f: RadialKahlerPotential, s: float | np.ndarray, order: int = DEFAULT_ORDER) -> TaylorJet:
+    """Jet of f at ``s``; an array of s gives one batched jet."""
+    s = _as_points(s)
+    if not _smallest(s) > 0.0:
         raise DomainError("radial profiles are defined for s > 0")
-    return f.jet_fn(float(s), order)
+    return f.jet_fn(s, order)
 
 
 def radial_derivatives(f: RadialKahlerPotential, s: float) -> tuple[float, float, float]:
@@ -124,7 +144,9 @@ def fubini_study_radial() -> RadialKahlerPotential:
     return RadialKahlerPotential("fubini_study", jfn)
 
 
-def custom_radial(jet_fn: Callable[[float, int], TaylorJet], label: str = "custom") -> RadialKahlerPotential:
+def custom_radial(
+    jet_fn: Callable[[float | np.ndarray, int], TaylorJet], label: str = "custom"
+) -> RadialKahlerPotential:
     return RadialKahlerPotential(label, jet_fn)
 
 
@@ -137,6 +159,9 @@ def custom_radial(jet_fn: Callable[[float, int], TaylorJet], label: str = "custo
 class TPotential:
     """Radial part of a symplectic potential, described through jets of F''.
 
+    ``jet_fn(t, order)`` takes a float or an ndarray of t and returns the jet
+    of F'' about it, batched for an array.
+
     ``value_fn``, when present, is a closed form for ``F`` itself, applied
     elementwise to a float or an array of t.  Without it ``F`` values come from
     integrating ``F''`` in an arbitrary affine gauge, which is invisible to
@@ -145,7 +170,7 @@ class TPotential:
 
     label: str
     domain: tuple[float, float]
-    jet_fn: Callable[[float, int], TaylorJet] = field(repr=False)
+    jet_fn: Callable[[float | np.ndarray, int], TaylorJet] = field(repr=False)
     value_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
 
@@ -217,7 +242,8 @@ def scalar_flat_family(
     i.e. wherever ``t^n - a t - b > 0``.  Where ``t^n`` would come near
     overflow (n ln t > 300) the jet is built from ``s = (a t + b) t^(-n)`` as
     ``F'' = s / (t (1 - s))``; elsewhere from ``t^n`` itself, since near t = 1
-    the scaled form loses digits to the cancellation in ``1 - s``.
+    the scaled form loses digits to the cancellation in ``1 - s``.  The form
+    is chosen point by point, so a batch may straddle n ln t = 300.
     """
     if n < 1:
         raise DimensionError("the family needs dimension n >= 1")
@@ -226,23 +252,39 @@ def scalar_flat_family(
     if domain is None:
         domain = (_family_domain_start(n, a, b), math.inf)
 
-    def jfn(t: float, order: int) -> TaylorJet:
+    def member(t: float | np.ndarray, order: int, scaled: bool) -> TaylorJet:
         tj = variable(t, order)
         numer = a * tj + b
-        if n * math.log(t) > 300.0:
+        if scaled:
             numer = numer * jet_pow(1.0 / tj, n)
             gap = 1.0 - numer
         else:
             gap = jet_pow(tj, n) - numer
-        if gap.value <= 0.0:
-            raise DomainError(f"t^{n} - ({a} t + {b}) must be positive; t={t} is outside")
+        if not _smallest(gap.value) > 0.0:
+            bad = t[np.argmin(gap.value)] if isinstance(t, np.ndarray) else t
+            raise DomainError(f"t^{n} - ({a} t + {b}) must be positive; t={bad} is outside")
         return numer / (tj * gap)
+
+    def jfn(t: float | np.ndarray, order: int) -> TaylorJet:
+        if not isinstance(t, np.ndarray):
+            return member(t, order, n * math.log(t) > 300.0)
+        scaled = n * np.log(t) > 300.0
+        if scaled.all() or not scaled.any():
+            return member(t, order, bool(scaled.all()))
+        # The batch straddles n ln t = 300: each side in its own form, then merged.
+        high, low = member(t[scaled], order, True), member(t[~scaled], order, False)
+        coeffs = []
+        for c_high, c_low in zip(high.coefficients, low.coefficients):
+            c = np.empty(t.shape)
+            c[scaled], c[~scaled] = c_high, c_low
+            coeffs.append(c)
+        return TaylorJet(t, tuple(coeffs))
 
     return TPotential(label, domain, jfn)
 
 
 def custom_potential(
-    jet_fn: Callable[[float, int], TaylorJet],
+    jet_fn: Callable[[float | np.ndarray, int], TaylorJet],
     domain: tuple[float, float],
     label: str = "custom",
     value_fn: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -271,24 +313,34 @@ def _check_t(pot: TPotential, t: float | np.ndarray) -> None:
             )
 
 
-def f2_jet(pot: TPotential, t: float, order: int = 4) -> TaylorJet:
-    """Jet of F'' at ``t`` to the requested order."""
-    t = float(t)
+def f2_jet(pot: TPotential, t: float | np.ndarray, order: int = 4) -> TaylorJet:
+    """Jet of F'' at ``t`` to the requested order; an array of t gives one batched jet."""
+    t = _as_points(t)
     _check_t(pot, t)
     jet = pot.jet_fn(t, order)
-    if jet.base != t or jet.order != order:
-        raise ValueError(f"potential {pot.label!r} returned a malformed jet")
+    if jet.order != order or not _same_base(jet.base, t):
+        raise DomainError(f"potential {pot.label!r} returned a malformed jet")
     return jet
 
 
-def f2_value(pot: TPotential, t: float) -> float:
+def f2_value(pot: TPotential, t: float | np.ndarray) -> float | np.ndarray:
+    """F''(t) at one t or, elementwise, at an array of t."""
     return f2_jet(pot, t, 0).value
 
 
-def admissible_f2(t: float, f2: float) -> float:
-    """Return ``f2 = F''(t)`` after checking 1 + t F'' > 0, the admissibility of the metric."""
-    if 1.0 + t * f2 <= 0.0:
-        raise NonAdmissibleError(f"1 + t F'' = {1.0 + t * f2} <= 0 at t={t}; the inverse Hessian degenerates")
+def admissible_f2(t: float | np.ndarray, f2: float | np.ndarray) -> float | np.ndarray:
+    """Return ``f2 = F''(t)`` after checking 1 + t F'' > 0, the admissibility of the metric.
+
+    For arrays the check applies to every entry; the first failing t is named.
+    """
+    normalization = 1.0 + t * f2
+    if not _smallest(normalization) > 0.0:
+        if isinstance(normalization, np.ndarray):
+            k = int(np.argmax(~(normalization > 0.0)))
+            t, normalization = t[k], normalization[k]
+        raise NonAdmissibleError(
+            f"1 + t F'' = {normalization} <= 0 at t={t}; the inverse Hessian degenerates"
+        )
     return f2
 
 
@@ -300,21 +352,24 @@ class AdmissibilityReport(NamedTuple):
 
 
 def admissibility(pot: TPotential, t_range: tuple[float, float], samples: int = 200) -> AdmissibilityReport:
-    """Check F''(t) + 1/t > 0 on a sampled interval; on failure report a witness."""
+    """Check F''(t) + 1/t > 0 on a sampled interval; on failure report a witness.
+
+    The witness is the first failing grid point and ``min_margin`` the least
+    margin up to and including it; ``samples`` counts the whole grid, which is
+    evaluated in one batch.
+    """
     lo, hi = float(t_range[0]), float(t_range[1])
     if not lo < hi:
         raise DomainError("t_range must be an increasing pair")
     _check_t(pot, lo)
     _check_t(pot, hi)
     ts = np.linspace(lo, hi, max(2, samples))
-    min_margin = math.inf
-    for t in ts:
-        margin = f2_value(pot, float(t)) + 1.0 / float(t)
-        if margin < min_margin:
-            min_margin = margin
-        if margin <= 0.0:
-            return AdmissibilityReport(False, float(t), min_margin, len(ts))
-    return AdmissibilityReport(True, None, min_margin, len(ts))
+    margins = f2_value(pot, ts) + 1.0 / ts
+    failing = np.flatnonzero(margins <= 0.0)
+    if failing.size:
+        k = int(failing[0])
+        return AdmissibilityReport(False, float(ts[k]), float(margins[: k + 1].min()), len(ts))
+    return AdmissibilityReport(True, None, float(margins.min()), len(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +521,7 @@ def local_t_potential(
     half = 0.5 * (t_hi - t_lo)
 
     def f2_scaled(xi: np.ndarray) -> np.ndarray:
-        return np.array([f2_value(pot, mid + half * float(v)) for v in np.atleast_1d(xi)])
+        return f2_value(pot, mid + half * np.atleast_1d(xi))
 
     degree = 32
     while True:

@@ -17,7 +17,7 @@ from torickahler.errors import (
     DomainError,
     NonAdmissibleError,
 )
-from torickahler.jets import variable
+from torickahler.jets import constant, variable
 from torickahler.polytope import build_standard, canonical_potential
 from torickahler.potentials import (
     custom_potential,
@@ -343,6 +343,38 @@ def test_extremal_rejects_generalized_burns():
     report = extremal_check(generalized_burns_potential(), 4, np.linspace(1.2, 6.0, 12))
     assert not report.extremal
     assert report.max_residual > 1e-2
+
+
+def test_extremal_needs_two_samples():
+    with pytest.raises(DomainError):
+        extremal_check(fubini_study_potential(), 3, [0.5])
+
+
+@pytest.mark.parametrize(
+    "pot, n, ts",
+    [
+        (fubini_study_potential(), 4, np.linspace(0.02, 0.98, 13)),
+        (generalized_burns_potential(), 3, np.linspace(1.05, 30.0, 13)),
+        (burns_simanca_potential(8), 8, np.linspace(1.01, 90.0, 13)),
+        (scalar_flat_family(7, 1.2, -0.4), 7, np.linspace(1.5, 7.0, 13)),
+    ],
+    ids=["fubini_study", "generalized_burns", "burns_simanca", "family"],
+)
+def test_batched_reduced_curvature_matches_row_by_row(pot, n, ts):
+    batched = scalar_curvature_reduced(pot, n, ts)
+    rows = np.array([scalar_curvature_reduced(pot, n, float(t)) for t in ts])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(batched - rows) <= 4.0 * eps * (1.0 + np.abs(rows)))
+    report = extremal_check(pot, n, ts)
+    assert [S for _, S in report.points] == batched.tolist()
+
+
+def test_batched_reduced_curvature_rejects_one_non_admissible_point():
+    # F'' = -1/2: 1 + t F'' > 0 only for t < 2.
+    pot = custom_potential(lambda t, order: constant(-0.5, t, order), (0.1, math.inf), label="minus_half")
+    assert np.all(np.isfinite(scalar_curvature_reduced(pot, 2, np.array([0.5, 1.5]))))
+    with pytest.raises(NonAdmissibleError, match="t=3.0"):
+        scalar_curvature_reduced(pot, 2, np.array([0.5, 3.0, 1.5]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from torickahler.potentials import (
     flat_potential,
     fubini_study_potential,
     generalized_burns_potential,
+    scalar_flat_family,
 )
 from torickahler.scalarflat import burns_simanca_potential
 
@@ -177,3 +179,118 @@ def test_jet_derivatives_match_finite_differences(pot, n, t):
 def test_flat_catalog_jet_is_identically_zero():
     jet = f2_jet(flat_potential(), 7.0, 4)
     assert jet.coefficients == (0.0,) * 5
+
+
+def test_misuse_raises_domain_error():
+    with pytest.raises(DomainError):
+        constant(1.0, base=0.0, order=-1)
+    with pytest.raises(DomainError):
+        variable(1.0, order=-1)
+    with pytest.raises(DomainError):
+        arith(constant(1.0, base=0.0, order=2), constant(1.0, base=1.0, order=2), "add")
+    with pytest.raises(DomainError):
+        arith(constant(1.0, base=0.0, order=2), constant(1.0, base=0.0, order=3), "add")
+
+
+# ---------------------------------------------------------------------------
+# Batched jets
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _batch(base: np.ndarray, rows) -> TaylorJet:
+    """One batched jet from per-row coefficient lists of equal length."""
+    return TaylorJet(base, tuple(np.array(column) for column in zip(*rows)))
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@st.composite
+def jet_pairs(draw):
+    order = draw(st.integers(0, 6))
+    size = draw(st.integers(1, 5))
+    row = st.lists(small, min_size=order + 1, max_size=order + 1)
+    a_rows = draw(st.lists(row, min_size=size, max_size=size))
+    b_rows = draw(st.lists(row, min_size=size, max_size=size))
+    # Divisors and logarithms need a constant term bounded away from zero.
+    lead = st.floats(min_value=0.25, max_value=2.0)
+    b_rows = [[draw(lead)] + r[1:] for r in b_rows]
+    base = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=size, max_size=size)))
+    return base, a_rows, b_rows
+
+
+@given(jet_pairs())
+@settings(max_examples=150, deadline=None)
+def test_batched_jets_match_row_by_row(data):
+    base, a_rows, b_rows = data
+    a, b = _batch(base, a_rows), _batch(base, b_rows)
+    exact = [(lambda x, y, op=op: arith(x, y, op)) for op in ("add", "sub", "mul", "div")]
+    exact += [(lambda x, y, m=m: jet_pow(y, m)) for m in (0, 1, 2, 5, -3)]
+    for fn in exact:
+        batched = fn(a, b)
+        for r in range(len(base)):
+            row_a = TaylorJet(float(base[r]), tuple(a_rows[r]))
+            row = fn(row_a, TaylorJet(float(base[r]), tuple(b_rows[r])))
+            assert [_bits(c[r]) for c in batched.coefficients] == [_bits(c) for c in row.coefficients]
+    # log and exp may round their constant term differently in numpy's vector
+    # and scalar loops; the rest of the recursion propagates it linearly.
+    for fn, jet, rows in ((ln_jet, b, b_rows), (exp_jet, a, a_rows)):
+        batched = fn(jet)
+        for r in range(len(base)):
+            row = fn(TaylorJet(float(base[r]), tuple(rows[r])))
+            scale = max(abs(c) for c in row.coefficients)
+            for c_batch, c_row in zip(batched.coefficients, row.coefficients):
+                assert abs(c_batch[r] - c_row) <= 4.0 * EPS * scale
+
+
+def _repeated_product(a: TaylorJet, m: int) -> TaylorJet:
+    result = constant(1.0, a.base, a.order)
+    for _ in range(abs(m)):
+        result = arith(result, a, "mul")
+    return result if m >= 0 else arith(constant(1.0, a.base, a.order), result, "div")
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 9, 200, -3])
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1.01, 0.3, -0.2, 0.05, 0.01, -0.004),
+        (0.0, 1.0, 0.5, -0.25, 0.125, 0.0625),
+        (1.7, 1.0, 0.0, 0.0, 0.0, 0.0),
+    ],
+    ids=["mixed", "zero_constant_term", "variable"],
+)
+def test_jet_pow_by_squaring_matches_repeated_multiplication(coeffs, m):
+    a = TaylorJet(0.4, coeffs)
+    if m < 0 and coeffs[0] == 0.0:
+        with pytest.raises(SingularPointError):
+            jet_pow(a, m)
+        return
+    want = _repeated_product(a, m).coefficients
+    assert jet_pow(a, m).coefficients == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_family_jet_matches_mpmath_reference(n):
+    # Guards the plain (not fsum) sums and the powers by squaring: every
+    # coefficient of the order-6 F'' jet against a 30-digit Taylor expansion,
+    # the error scaled by the jet's size at the same power of t.  The worst
+    # case over these points is about 420 eps (the order-6 coefficient at
+    # n = 8, t = 1.05), and about 220 eps with fsum and repeated products.
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(30):
+        for a, b in ((n - 1.0, 2.0 - n), (1.5, -0.5), (-1.2, 1.7)):
+            pot = scalar_flat_family(n, a, b)
+            start = max(pot.domain[0], 0.5)
+            for t in (start + 0.05, start + 0.5, start + 2.0, start + 6.0):
+                jet = f2_jet(pot, t, 6)
+                A, B, T = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(t)
+                ref = mpmath.taylor(lambda u: (A * u + B) / (u * (u**n - A * u - B)), T, 6)
+                for k, (got, want) in enumerate(zip(jet.coefficients, ref)):
+                    scale = max(abs(r) * T ** (j - k) for j, r in enumerate(ref))
+                    worst = max(worst, float(abs(got - want) / scale))
+    assert worst <= 2048 * EPS

@@ -63,6 +63,36 @@ def test_f2_jet_outside_domain():
         f2_jet(generalized_burns_potential(), 1.0, 2)
 
 
+@pytest.mark.parametrize(
+    "pot, ts",
+    [
+        (flat_potential(), np.linspace(0.1, 40.0, 9)),
+        (fubini_study_potential(), np.linspace(0.02, 0.98, 9)),
+        (generalized_burns_potential(), np.linspace(1.05, 30.0, 9)),
+        (get_potential("burns_simanca", 5), np.linspace(1.01, 90.0, 9)),
+        # n ln t = 300 at t = e^3: the batch mixes both forms of the family.
+        (scalar_flat_family(100, 1.5, -0.7), np.geomspace(2.0, 60.0, 11)),
+    ],
+    ids=["flat", "fubini_study", "generalized_burns", "burns_simanca", "family_n100_straddling"],
+)
+def test_batched_f2_jet_matches_row_by_row(pot, ts):
+    batched = f2_jet(pot, ts.reshape(-1, 1), 4)
+    assert batched.base.shape == (len(ts), 1)
+    for i, t in enumerate(ts):
+        row = f2_jet(pot, float(t), 4)
+        assert [c[i, 0] for c in batched.coefficients] == list(row.coefficients)
+    assert np.array_equal(f2_value(pot, ts), [f2_value(pot, float(t)) for t in ts])
+
+
+def test_batch_with_one_bad_point_fails():
+    with pytest.raises(DomainError):
+        f2_jet(fubini_study_potential(), np.array([0.5, 1.2]), 2)
+    with pytest.raises(DomainError):
+        f2_jet(fubini_study_potential(), np.array([]), 2)
+    with pytest.raises(DomainError):
+        radial_jet(fubini_study_radial(), np.array([0.5, -1.0]), 2)
+
+
 def test_get_potential_lookup():
     assert get_potential("fubini-study").label == "fubini_study"
     assert get_potential("burns_simanca", 3).label == "burns_simanca"
@@ -91,6 +121,31 @@ def test_admissibility_violator_reports_witness():
     assert not report.passed
     assert report.witness is not None and 1.0 <= report.witness <= 2.0
     assert f2_value(pot, report.witness) + 1.0 / report.witness <= 0.0
+
+
+def _per_sample_admissibility(pot, t_range, samples):
+    """The sweep one point at a time, as a reference for the batched sweep."""
+    ts = np.linspace(t_range[0], t_range[1], max(2, samples))
+    min_margin = math.inf
+    for t in ts:
+        margin = f2_value(pot, float(t)) + 1.0 / float(t)
+        min_margin = min(min_margin, margin)
+        if margin <= 0.0:
+            return (False, float(t), min_margin, len(ts))
+    return (True, None, min_margin, len(ts))
+
+
+def test_admissibility_failing_range_matches_per_sample_loop():
+    # F'' + 1/t = (t - 1.5)^2 - 0.1: falls, fails on (1.18, 1.82), then recovers.
+    def jfn(t, order):
+        tj = variable(t, order)
+        return (tj - 1.5) * (tj - 1.5) - 0.1 - 1.0 / tj
+
+    pot = custom_potential(jfn, (0.1, math.inf), label="dip")
+    for t_range, samples in (((0.5, 3.0), 200), ((0.5, 3.0), 7), ((2.0, 3.0), 50)):
+        report = admissibility(pot, t_range, samples)
+        assert tuple(report) == _per_sample_admissibility(pot, t_range, samples)
+    assert not admissibility(pot, (0.5, 3.0), 200).passed
 
 
 # ---------------------------------------------------------------------------
