@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DecayFitError, DomainError
-from .curvature import hessian_t_family, HessianEval
+from .curvature import HessianEval, _in_blocks, hessian_t_family
 from .potentials import TPotential, admissible_f2, f2_value
 from .scalarflat import burns_simanca_potential
 
@@ -91,17 +91,21 @@ def flat_chart(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.n
 
 
 def _chart_jacobian_inverse(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d(x, y) / d(lambda, mu); block-diagonal in each coordinate pair."""
+    """d(x, y) / d(lambda, mu) at points of shape (..., n); block-diagonal in each coordinate pair."""
+    n = x.shape[-1]
     r = np.sqrt(2.0 * x)
-    return np.block(
-        [
-            [np.diag(r * np.cos(y)), np.diag(r * np.sin(y))],
-            [np.diag(-np.sin(y) / r), np.diag(np.cos(y) / r)],
-        ]
-    )
+    k = np.arange(n)
+    M = np.zeros(x.shape[:-1] + (2 * n, 2 * n))
+    M[..., k, k] = r * np.cos(y)
+    M[..., k, n + k] = r * np.sin(y)
+    M[..., n + k, k] = -np.sin(y) / r
+    M[..., n + k, n + k] = np.cos(y) / r
+    return M
 
 
-def chart_deviation(pot: TPotential, x: Sequence[float], y: Sequence[float] | None = None) -> float:
+def chart_deviation(
+    pot: TPotential, x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray | None = None
+) -> float | np.ndarray:
     """Operator-norm distance of the metric from the identity in the flat chart.
 
     The flat potential gives h0 = diag(G0, G0^{-1}) with G0 = diag(1/(2x)),
@@ -110,19 +114,34 @@ def chart_deviation(pot: TPotential, x: Sequence[float], y: Sequence[float] | No
     G^{-1} - G0^{-1} = -2 F'' x x^T / (1 + t F''), and transformed; nothing is
     subtracted from a rounded matrix, so the deviation keeps its digits far
     below roundoff of the identity.
+
+    ``x`` is one point of shape (n,), giving a float, or a batch of shape
+    (..., n), giving an array of shape (...); ``y`` has x's shape.  Every row
+    must lie in the positive orthant and be admissible.  Rows are evaluated in
+    blocks of at most ``curvature.STENCIL_BLOCK`` matrix entries, each block
+    with one batched ``F''`` and one stacked ``eigvalsh``.
     """
     x = np.asarray(x, dtype=float)
     y = np.zeros_like(x) if y is None else np.asarray(y, dtype=float)
-    if x.size == 0 or np.any(x <= 0.0) or x.shape != y.shape:
+    if x.ndim == 0 or x.size == 0 or np.any(x <= 0.0) or x.shape != y.shape:
         raise DomainError("x must be a point inside the positive orthant and y of its shape")
-    t = float(x.sum())
+    n = x.shape[-1]
+    deviation = _in_blocks(
+        lambda xb, yb: _deviation_rows(pot, xb, yb), 4 * n * n, x.reshape(-1, n), y.reshape(-1, n)
+    )
+    return float(deviation[0]) if x.ndim == 1 else deviation.reshape(x.shape[:-1])
+
+
+def _deviation_rows(pot: TPotential, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`chart_deviation` on the rows of ``x`` and ``y`` (shape (rows, n))."""
+    n = x.shape[-1]
+    t = x.sum(axis=-1)
     f2 = admissible_f2(t, f2_value(pot, t))
-    n = x.size
-    dh = np.zeros((2 * n, 2 * n))
-    dh[:n, :n] = 0.5 * f2
-    dh[n:, n:] = (-2.0 * f2 / (1.0 + t * f2)) * np.outer(x, x)
+    dh = np.zeros((len(x), 2 * n, 2 * n))
+    dh[:, :n, :n] = (0.5 * f2)[:, None, None]
+    dh[:, n:, n:] = (-2.0 * f2 / (1.0 + t * f2))[:, None, None] * (x[:, :, None] * x[:, None, :])
     M_inv = _chart_jacobian_inverse(x, y)
-    return float(np.max(np.abs(np.linalg.eigvalsh(M_inv.T @ dh @ M_inv))))
+    return np.max(np.abs(np.linalg.eigvalsh(np.swapaxes(M_inv, -2, -1) @ dh @ M_inv)), axis=-1)
 
 
 def decay_scan(
@@ -151,10 +170,8 @@ def decay_scan(
         pot = burns_simanca_potential(n)
 
     us = np.geomspace(u_min, u_max, samples)
-    scan = []
-    for u in us:
-        x = (float(u) / n) * np.ones(n)
-        scan.append((float(u), chart_deviation(pot, x)))
+    deviations = chart_deviation(pot, (us / n)[:, None] * np.ones(n))
+    scan = list(zip(us.tolist(), deviations.tolist()))
 
     fit_points = [(u, d) for u, d in scan if u >= 10.0 * u_min and d > 0.0]
     if len(fit_points) >= 3:

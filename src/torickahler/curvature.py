@@ -16,7 +16,8 @@ cross-check.
 
 A potential evaluator ``g`` maps points of shape ``(..., n)`` to values of
 shape ``(...)``.  The finite differences build their stencil points as one
-array and evaluate ``g`` on whole blocks of them at once.
+array and evaluate ``g`` on whole blocks of them at once;
+:func:`legendre_roundtrip` takes a batch of points the same way.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .potentials import (
     admissible_f2,
     f2_jet,
     f2_value,
-    legendre_dual,
+    _legendre_relations,
     radial_derivatives,
     radial_jet,
 )
@@ -53,8 +54,25 @@ __all__ = [
 ]
 
 #: Most points per ``g`` call in :func:`scalar_curvature_abreu`; bounds the
-#: memory of one batch (Abreu at n = 8 needs 257^2 = 66,049 points).
+#: memory of one batch (Abreu at n = 8 needs 257^2 = 66,049 points).  Batched
+#: :func:`legendre_roundtrip` and :func:`~torickahler.asymptotics.chart_deviation`
+#: evaluate their rows in blocks under the same bound (see :func:`_in_blocks`).
 STENCIL_BLOCK = 8192
+
+
+def _in_blocks(fn: Callable, per_row: int, *rows: np.ndarray):
+    """``fn`` on consecutive blocks of the row arrays ``rows``, results joined along axis 0.
+
+    A block holds at most ``STENCIL_BLOCK // per_row`` rows, one if a single
+    row costs more; ``per_row`` is what one row costs in stencil points or
+    matrix entries.  ``fn`` takes one block of each row array and returns an
+    array or a tuple of arrays with one entry per row.
+    """
+    size = max(1, STENCIL_BLOCK // per_row)
+    parts = [fn(*(r[k : k + size] for r in rows)) for k in range(0, len(rows[0]), size)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -82,25 +100,43 @@ class CurvatureReport:
 
 @dataclass(frozen=True)
 class LegendreRoundtrip:
-    """Residuals of one pass complex side -> action side -> back."""
+    """Residuals of passes complex side -> action side -> back.
+
+    For one point ``a`` and ``x`` have shape (n,) and the other fields are
+    floats; for a batch of shape (..., n) they are arrays of shape (...).
+    """
 
     a: np.ndarray
     x: np.ndarray
-    s: float
-    t: float
-    gradient_residual: float
-    duality_gap: float
-    hessian_residual: float
+    s: float | np.ndarray
+    t: float | np.ndarray
+    gradient_residual: float | np.ndarray
+    duality_gap: float | np.ndarray
+    hessian_residual: float | np.ndarray
 
 
-def _t_family_matrices(x: np.ndarray, f2: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Closed forms for G, G^{-1} and det G^{-1} of the radial family."""
-    n = x.size
-    t = float(x.sum())
+def _t_family_matrices(
+    x: np.ndarray, f2: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """Closed forms for G, G^{-1} and det G^{-1} of the radial family.
+
+    ``x`` has shape (..., n) and ``f2`` the batch shape (...); G and G^{-1}
+    have shape (..., n, n).
+    """
+    n = x.shape[-1]
+    t = x.sum(axis=-1)
     denom = 1.0 + t * f2
-    G = np.diag(0.5 / x) + 0.5 * f2 * np.ones((n, n))
-    G_inv = (2.0 / denom) * (np.diag(x * (1.0 + f2 * t)) - f2 * np.outer(x, x))
-    det_G_inv = (2.0**n) * float(np.prod(x)) / denom
+    f2_m = np.asarray(f2)[..., None, None]
+    # Built in place on diagonal views: at n = 200 each fresh n x n temporary
+    # costs more than the arithmetic.
+    G = np.empty(x.shape + (n,))
+    G[...] = 0.5 * f2_m
+    np.einsum("...ii->...i", G)[...] += 0.5 / x
+    G_inv = x[..., :, None] * x[..., None, :]
+    G_inv *= -f2_m
+    np.einsum("...ii->...i", G_inv)[...] += x * np.asarray(1.0 + f2 * t)[..., None]
+    G_inv *= np.asarray(2.0 / denom)[..., None, None]
+    det_G_inv = (2.0**n) * np.prod(x, axis=-1) / denom
     return G, G_inv, det_G_inv
 
 
@@ -122,32 +158,37 @@ def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
     t = float(x.sum())
     f2 = admissible_f2(t, f2_value(pot, t))
     G, G_inv, det_G_inv = _t_family_matrices(x, f2)
-    return HessianEval(x=x, G=G, G_inv=G_inv, det_G_inv=det_G_inv, posdef=True)
+    return HessianEval(x=x, G=G, G_inv=G_inv, det_G_inv=float(det_G_inv), posdef=True)
 
 
-def _stencil_points(x: np.ndarray, h: float) -> np.ndarray:
+def _stencil_points(x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     """The 1 + 4 n^2 points of the second-difference stencil around each centre.
 
     ``x`` has shape (..., n) and the result (..., 1 + 4 n^2, n): the centre,
     then 2 n^2 points at step h and the same 2 n^2 at step h/2, each block
     ordered +e_i, -e_i (i = 0..n-1), then +e_i+e_j, +e_i-e_j, -e_i+e_j,
-    -e_i-e_j over i < j.  Every point is distinct.
+    -e_i-e_j over i < j.  Every point is distinct.  ``h`` is one step for
+    every centre, or an array of x's batch shape (...) with a step per centre.
     """
     n = x.shape[-1]
     eye = np.eye(n)
     i, j = np.triu_indices(n, 1)
     unit = np.concatenate([eye, -eye, eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]])
-    return x[..., None, :] + np.concatenate([np.zeros((1, n)), h * unit, (h / 2.0) * unit])
+    offsets = np.concatenate([np.zeros((1, n)), unit, unit / 2.0])
+    return x[..., None, :] + offsets * np.expand_dims(h, (-2, -1))
 
 
-def _richardson_combine(values: np.ndarray, h: float) -> np.ndarray:
+def _richardson_combine(values: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     """Second partials from values on :func:`_stencil_points`: steps h and h/2, one Richardson step.
 
     ``values`` has the stencil on its last axis, shape (..., 1 + 4 n^2); the
     result has shape (..., n, n), entry [i, j] being d^2/dx_i dx_j.  Entries
     (i, j) and (j, i) come from the same four values, so the result is
-    symmetric in its last two axes.
+    symmetric in its last two axes.  ``h`` is one step, or an array of the
+    batch shape (...) with a step per centre.
     """
+    if isinstance(h, np.ndarray):
+        h = h[..., None]
     n = math.isqrt((values.shape[-1] - 1) // 4)
     m = n * (n - 1) // 2
     i, j = np.triu_indices(n, 1)
@@ -255,10 +296,10 @@ def scalar_curvature_abreu(
         hessian_step = 1.5e-3 * (1.0 + float(np.linalg.norm(x)))
 
     outer = _stencil_points(x, step)
-    per_call = max(1, STENCIL_BLOCK // len(outer))
-    blocks = [outer[k : k + per_call] for k in range(0, len(outer), per_call)]
-    G = np.concatenate(
-        [_richardson_combine(np.asarray(g(_stencil_points(b, hessian_step))), hessian_step) for b in blocks]
+    G = _in_blocks(
+        lambda b: _richardson_combine(np.asarray(g(_stencil_points(b, hessian_step))), hessian_step),
+        len(outer),
+        outer,
     )
     _, G_inv = _checked_inverse(G)
     # D[k, l, i, j] = d^2 G^kl / dx_i dx_j
@@ -300,48 +341,37 @@ def extremal_check(
     )
 
 
-def _fd_gradient(fn: Callable[[np.ndarray], np.ndarray], a: np.ndarray, h: float) -> np.ndarray:
-    e = h * np.eye(a.size)
-    return (fn(a + e) - fn(a - e)) / (2.0 * h)
-
-
 def legendre_roundtrip(
-    f: RadialKahlerPotential, a: Sequence[float], fd_step: float = 1e-4
+    f: RadialKahlerPotential, a: Sequence[float] | np.ndarray, fd_step: float = 1e-4
 ) -> LegendreRoundtrip:
-    """Map a log-coordinate point through the Legendre transform and verify it.
+    """Map log-coordinate points through the Legendre transform and verify them.
 
-    Three residuals are reported: the moment map x_i = 2 e^{2 a_i} f'(s)
-    against a finite-difference gradient of a -> f(s(a)); the duality identity
-    f(a) + g(x) = sum a_i x_i; and the Hessian of f over a against the inverse
-    Hessian of g at the image point.
+    Three residuals are reported per point: the moment map
+    x_i = 2 e^{2 a_i} f'(s) against a finite-difference gradient of
+    a -> f(s(a)); the duality identity f(a) + g(x) = sum a_i x_i; and the
+    Hessian of f over a against the inverse Hessian of g at the image point.
+    The gradient and the Hessian come from one Richardson stencil
+    (see :func:`hessian_general`) with step ``fd_step * (1 + max |a_i|)``.
+
+    ``a`` is one point of shape (n,) or a batch of shape (..., n); see
+    :class:`LegendreRoundtrip` for the shapes returned.  Rows are evaluated
+    in blocks of at most ``STENCIL_BLOCK`` stencil points, each block with one
+    radial jet at s and one on its stencil.  A row where the profile is not
+    admissible, or whose Hessian is numerically singular, fails the batch.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise DomainError("a must be a nonempty vector")
-    e2a = np.exp(2.0 * a)
-    s = float(e2a.sum())
-
-    f0, f1, f2 = radial_derivatives(f, s)
-    if f1 <= 0.0 or f1 + s * f2 <= 0.0:
-        raise NonAdmissibleError("radial profile is not admissible at this point")
-
-    x = 2.0 * e2a * f1
-    t = float(x.sum())
-
-    def f_of_a(av: np.ndarray) -> np.ndarray:
-        return radial_jet(f, np.exp(2.0 * av).sum(axis=-1), 0).value
-
-    grad = _fd_gradient(f_of_a, a, fd_step * (1.0 + float(np.max(np.abs(a)))))
-    gradient_residual = float(np.max(np.abs(grad - x)))
-
-    dual = legendre_dual(f, s, t)
-    g_value = 0.5 * (float(np.sum(x * np.log(x))) + dual.F)
-    duality_gap = abs(f0 + g_value - float(np.dot(a, x)))
-
-    _, G_inv, _ = _t_family_matrices(x, dual.F2)
-    hess_a = hessian_general(f_of_a, a, step=fd_step * (1.0 + float(np.max(np.abs(a))))).G
-    hessian_residual = float(np.max(np.abs(hess_a - G_inv)))
-
+    if a.ndim == 0 or a.size == 0:
+        raise DomainError("a must be a nonempty vector or a batch of them")
+    n = a.shape[-1]
+    batch = a.shape[:-1]
+    fields = _in_blocks(lambda rows: _roundtrip_rows(f, rows, fd_step), 1 + 4 * n * n, a.reshape(-1, n))
+    x, s, t, gradient_residual, duality_gap, hessian_residual = (
+        v.reshape(batch + v.shape[1:]) for v in fields
+    )
+    if not batch:
+        s, t, gradient_residual, duality_gap, hessian_residual = map(
+            float, (s, t, gradient_residual, duality_gap, hessian_residual)
+        )
     return LegendreRoundtrip(
         a=a,
         x=x,
@@ -351,3 +381,35 @@ def legendre_roundtrip(
         duality_gap=duality_gap,
         hessian_residual=hessian_residual,
     )
+
+
+def _roundtrip_rows(f: RadialKahlerPotential, a: np.ndarray, fd_step: float) -> tuple[np.ndarray, ...]:
+    """:func:`legendre_roundtrip` on the rows of ``a`` (shape (rows, n)): x, s, t and the residuals."""
+    n = a.shape[-1]
+    e2a = np.exp(2.0 * a)
+    s = e2a.sum(axis=-1)
+
+    f0, f1, f2 = radial_derivatives(f, s)
+    admissible = (f1 > 0.0) & (f1 + s * f2 > 0.0)
+    if not admissible.all():
+        bad = a[int(np.argmin(admissible))]
+        raise NonAdmissibleError(f"radial profile is not admissible at a = {bad.tolist()}")
+
+    x = 2.0 * e2a * f1[:, None]
+    t = x.sum(axis=-1)
+
+    h = fd_step * (1.0 + np.max(np.abs(a), axis=-1))
+    values = radial_jet(f, np.exp(2.0 * _stencil_points(a, h)).sum(axis=-1), 0).value
+    grad = (values[:, 1 : 1 + n] - values[:, 1 + n : 1 + 2 * n]) / (2.0 * h[:, None])
+    gradient_residual = np.max(np.abs(grad - x), axis=-1)
+
+    dual = _legendre_relations(s, t, f0, f1, f2)
+    g_value = 0.5 * (np.sum(x * np.log(x), axis=-1) + dual.F)
+    a_dot_x = (a[:, None, :] @ x[:, :, None])[:, 0, 0]  # row by row what np.dot(a, x) gives
+    duality_gap = np.abs(f0 + g_value - a_dot_x)
+
+    _, G_inv, _ = _t_family_matrices(x, dual.F2)
+    hess_a = _richardson_combine(values, h)
+    _checked_inverse(hess_a)
+    hessian_residual = np.max(np.abs(hess_a - G_inv), axis=(-2, -1))
+    return x, s, t, gradient_residual, duality_gap, hessian_residual

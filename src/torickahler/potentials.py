@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -50,7 +51,7 @@ from .errors import (
     NearBoundaryError,
     NonAdmissibleError,
 )
-from .jets import DEFAULT_ORDER, TaylorJet, _same_base, constant, jet_pow, ln_jet, variable
+from .jets import DEFAULT_ORDER, TaylorJet, _elementwise, _same_base, constant, jet_pow, ln_jet, variable
 from .polytope import BOUNDARY_CUTOFF
 
 __all__ = [
@@ -120,8 +121,10 @@ def radial_jet(f: RadialKahlerPotential, s: float | np.ndarray, order: int = DEF
     return f.jet_fn(s, order)
 
 
-def radial_derivatives(f: RadialKahlerPotential, s: float) -> tuple[float, float, float]:
-    """(f(s), f'(s), f''(s)) read off a second-order radial jet."""
+def radial_derivatives(
+    f: RadialKahlerPotential, s: float | np.ndarray
+) -> tuple[float | np.ndarray, float | np.ndarray, float | np.ndarray]:
+    """(f(s), f'(s), f''(s)) read off a second-order radial jet; an array of s is one batched jet."""
     c = radial_jet(f, s, 2).coefficients
     return c[0], c[1], 2.0 * c[2]
 
@@ -215,18 +218,75 @@ def generalized_burns_potential() -> TPotential:
     return TPotential("generalized_burns", (1.0, math.inf), jfn, value_fn=value)
 
 
+def _integer_form(coeffs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Integer numerators m_k and their common denominator D, with c_k = m_k / D."""
+    D = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (D // c.denominator) for c in coeffs), D
+
+
+def _poly_eval(form: tuple[tuple[int, ...], int], t: float | Fraction) -> Fraction:
+    """Exact value at t of the ascending polynomial sum_k m_k t^k / D, ``form = (m, D)``.
+
+    With t = p/q in lowest terms (a float is a dyadic rational), the value is
+    sum_k m_k p^k q^(d-k) / (q^d D); Horner's rule forms that numerator on
+    Python ints, and one Fraction is made at the end.
+    """
+    numerators, D = form
+    p, q = Fraction(t).as_integer_ratio()
+    acc, q_power = 0, 1
+    for m in reversed(numerators):
+        acc = acc * p + m * q_power
+        q_power *= q
+    return Fraction(acc, q_power // q * D)
+
+
 def _family_domain_start(n: int, a: float, b: float) -> float:
-    """Largest nonnegative real root of t^n - a t - b; the family lives to its right."""
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    coeffs[-2] += -a
-    coeffs[-1] += -b
-    coeffs = np.trim_zeros(coeffs, "f")
-    if coeffs.size <= 1:
+    """Largest nonnegative real root of gap(t) = t^n - a t - b, or 0.0; the family lives to its right.
+
+    For n >= 2, gap'' = n (n-1) t^(n-2) > 0 on t > 0, so gap falls until
+    t* = (a/n)^(1/(n-1)) (until 0 if a <= 0) and rises after it.  A root on
+    t > 0 exists unless a <= 0 <= -b, or gap(t*) = -a t* (n-1)/n - b > 0, that
+    is a^n (n-1)^(n-1) < n^n (-b)^(n-1); both are decided exactly.  Past the
+    largest root, and only there, gap > 0 and gap' > 0; bisection on floats
+    finds where that starts.  Each sign is read off the float value where
+    its rounding error, under 4 n eps times the size of its terms, cannot
+    flip it, and from :func:`_poly_eval` otherwise, so a double root (a
+    tangent gap) is found like a simple one.  The result is the largest float
+    at or below the root.
+    """
+    if n == 1:
+        return max(0.0, b / (1.0 - a)) if a != 1.0 else 0.0
+    A, B = Fraction(a), Fraction(b)
+    if (A <= 0 and B <= 0) or (A > 0 and B < 0 and A**n * (n - 1) ** (n - 1) < n**n * (-B) ** (n - 1)):
         return 0.0
-    roots = np.roots(coeffs)
-    real = [r.real for r in roots if abs(r.imag) <= 1e-9 * (1.0 + abs(r))]
-    return max([0.0] + real)
+    zeros = [Fraction(0)] * (n - 2)
+    gap = _integer_form([-B, -A, *zeros, Fraction(1)])
+    slope = _integer_form([-A, *zeros, Fraction(n)])
+    bound = 4.0 * n * np.finfo(float).eps
+
+    def positive(form, value: float, size: float, t: float) -> bool:
+        return value > 0.0 if abs(value) > bound * size else _poly_eval(form, t) > 0
+
+    def past_root(t: float) -> bool:
+        try:
+            power = t ** (n - 1)
+        except OverflowError:
+            power = math.inf  # leaves both signs to the exact evaluation
+        return positive(gap, power * t - a * t - b, power * t + abs(a * t) + abs(b), t) and positive(
+            slope, n * power - a, n * power + abs(a), t
+        )
+
+    lo, hi = 0.0, 1.0
+    while not past_root(hi):
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        if past_root(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 def scalar_flat_family(
@@ -378,20 +438,25 @@ def admissibility(pot: TPotential, t_range: tuple[float, float], samples: int = 
 
 
 class TDual(NamedTuple):
-    s: float
-    F: float
-    F2: float
+    s: float | np.ndarray
+    F: float | np.ndarray
+    F2: float | np.ndarray
 
 
-def legendre_dual(f: RadialKahlerPotential, s: float, t: float) -> TDual:
+def legendre_dual(f: RadialKahlerPotential, s: float | np.ndarray, t: float | np.ndarray) -> TDual:
     """The Legendre relations at the s where gamma(s) = 2 s f'(s) equals t.
 
     F(t) = t ln(s/t) - 2 f(s), and F''(t) = 1/(s gamma'(s)) - 1/t follows from
-    differentiating it along the inverse map.
+    differentiating it along the inverse map.  Floats give floats; arrays of s
+    and t (one batched radial jet) give arrays.
     """
-    f0, f1, f2 = radial_derivatives(f, s)
+    return _legendre_relations(s, t, *radial_derivatives(f, s))
+
+
+def _legendre_relations(s, t, f0, f1, f2) -> TDual:
+    """:func:`legendre_dual` from the profile's derivatives (f0, f1, f2) at s."""
     gamma_slope = 2.0 * f1 + 2.0 * s * f2
-    return TDual(s=s, F=t * math.log(s / t) - 2.0 * f0, F2=1.0 / (s * gamma_slope) - 1.0 / t)
+    return TDual(s=s, F=t * _elementwise(np.log, s / t) - 2.0 * f0, F2=1.0 / (s * gamma_slope) - 1.0 / t)
 
 
 def _gamma(f: RadialKahlerPotential, s: float) -> float:

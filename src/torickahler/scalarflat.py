@@ -15,7 +15,8 @@ Both conditions are linear; solving them exactly over the rationals gives
 ``A = n - 1`` and ``B = 2 - n``, with quotient polynomial
 ``Q(t) = t^(n-1) + ... + t - (n - 2)``.  All the polynomial work here is done
 with ``fractions.Fraction`` so the divisibility statements are exact, not
-approximate.
+approximate; Q is evaluated by Horner's rule on integers
+(:func:`torickahler.potentials._poly_eval`).
 
 :func:`reconstruct_F` is the quadrature route to ``F`` itself, one of three:
 the closed form ``TPotential.value_fn`` where one is known, the Chebyshev
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +38,7 @@ from scipy import integrate
 
 from .curvature import hessian_t_family
 from .errors import AccuracyError, DimensionError, DomainError
-from .potentials import TPotential, _check_t, f2_value, scalar_flat_family
+from .potentials import TPotential, _check_t, _integer_form, _poly_eval, f2_value, scalar_flat_family
 
 __all__ = [
     "BoundaryMatch",
@@ -48,14 +50,6 @@ __all__ = [
     "reconstruct_F",
     "boundary_regularity",
 ]
-
-
-def _poly_eval(coeffs: Sequence[Fraction], t: Fraction) -> Fraction:
-    """Evaluate an ascending-coefficient polynomial by Horner's rule."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 def _divide_by_t_minus_1(coeffs: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -78,8 +72,13 @@ class BoundaryMatch:
     quotient: tuple[Fraction, ...]
     remainder: Fraction
 
+    @cached_property
+    def _quotient_form(self) -> tuple[tuple[int, ...], int]:
+        """The quotient's integer numerators over their common denominator, made once per match."""
+        return _integer_form(self.quotient)
+
     def quotient_value(self, t: float) -> float:
-        return float(_poly_eval(self.quotient, Fraction(t)))
+        return float(_poly_eval(self._quotient_form, t))
 
     def delta(self, t: float) -> float:
         """The cofactor delta(t) = 2^n t^(-n) Q(t) in det G^{-1} = delta * prod l_i.
@@ -92,7 +91,7 @@ class BoundaryMatch:
         t = Fraction(float(t))
         n = self.n
         if self.remainder == 0:
-            value = 2**n * _poly_eval(self.quotient, t) / t**n
+            value = 2**n * _poly_eval(self._quotient_form, t) / t**n
         elif t == 1:
             return math.inf
         else:
@@ -154,7 +153,7 @@ def burns_simanca_potential(n: int) -> TPotential:
     derivative coefficients, so Q(t) >= 1 for t >= 1; both are verified here.
     """
     match = solve_boundary_coefficients(n)
-    if _poly_eval(list(match.quotient), Fraction(1)) != 1:
+    if _poly_eval(match._quotient_form, 1) != 1:
         raise ArithmeticError("quotient normalization Q(1) = 1 failed")
     if any(c < 0 for c in match.quotient[1:]):
         raise ArithmeticError("quotient has a negative non-constant coefficient")

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from torickahler import potentials
 from torickahler.asymptotics import (
     chart_deviation,
     decay_scan,
     flat_chart,
     metric_blocks,
 )
-from torickahler.errors import DecayFitError, DomainError
-from torickahler.jets import variable
+from torickahler.curvature import STENCIL_BLOCK
+from torickahler.errors import DecayFitError, DomainError, NonAdmissibleError
+from torickahler.jets import constant, variable
 from torickahler.potentials import (
     custom_potential,
     f2_value,
@@ -203,3 +205,84 @@ def test_chart_deviation_scales_with_curvature_gap():
     pot = scalar_flat_family(2, 1.0, 0.0)
     x = np.array([5.0, 5.0])
     assert chart_deviation(pot, x) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Batched deviations
+# ---------------------------------------------------------------------------
+
+
+def _count_f2_jets(monkeypatch):
+    """Count the F'' jet evaluations made through ``potentials.f2_jet``."""
+    calls = []
+    original = potentials.f2_jet
+
+    def counted(pot, t, order=4):
+        calls.append(np.shape(t))
+        return original(pot, t, order)
+
+    monkeypatch.setattr(potentials, "f2_jet", counted)
+    return calls
+
+
+def _random_points(rng, pot, shape, n):
+    lo, hi = pot.domain
+    t = rng.uniform(lo + 0.1, min(hi - 0.05, lo + 5.0), shape)
+    w = rng.uniform(0.3, 1.0, shape + (n,))
+    return t[..., None] * w / w.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize(
+    "pot, n",
+    [(burns_simanca_potential(3), 3), (fubini_study_potential(), 4), (generalized_burns_potential(), 2),
+     (scalar_flat_family(8, 3.0, -1.5), 8)],
+)
+def test_batched_chart_deviation_matches_row_by_row(pot, n):
+    rng = np.random.default_rng(11)
+    x = _random_points(rng, pot, (3, 5), n)
+    y = rng.uniform(-math.pi, math.pi, x.shape)
+    for angles in (y, None):
+        batch = chart_deviation(pot, x, angles)
+        assert batch.shape == (3, 5)
+        rows = angles if angles is not None else np.zeros_like(x)
+        for index in np.ndindex(3, 5):
+            one = chart_deviation(pot, x[index], rows[index])
+            assert isinstance(one, float)
+            assert batch[index] == pytest.approx(one, rel=4 * np.finfo(float).eps, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_decay_scan_makes_one_f2_evaluation(monkeypatch, n):
+    calls = _count_f2_jets(monkeypatch)
+    decay_scan(n, 1e2, 1e6, 32)
+    assert calls == [(32,)]
+
+
+def test_chart_deviation_evaluates_rows_in_blocks(monkeypatch):
+    # n = 2: a 4 x 4 matrix per row, so STENCIL_BLOCK // 16 rows per block.
+    rows_per_block = STENCIL_BLOCK // 16
+    pot = burns_simanca_potential(2)
+    rng = np.random.default_rng(12)
+    x = _random_points(rng, pot, (2 * rows_per_block + 7,), 2)
+    y = rng.uniform(-math.pi, math.pi, x.shape)
+    calls = _count_f2_jets(monkeypatch)
+    batch = chart_deviation(pot, x, y)
+    assert calls == [(rows_per_block,), (rows_per_block,), (7,)]
+    expected = [chart_deviation(pot, xr, yr) for xr, yr in zip(x, y)]
+    assert batch == pytest.approx(expected, rel=4 * np.finfo(float).eps, abs=0.0)
+
+
+def test_one_bad_row_fails_the_whole_deviation_batch():
+    pot = burns_simanca_potential(3)
+    x = _random_points(np.random.default_rng(13), pot, (6,), 3)
+    chart_deviation(pot, x)
+    outside = x.copy()
+    outside[4, 1] = -0.1
+    with pytest.raises(DomainError):
+        chart_deviation(pot, outside)
+    # F'' = -1/2 makes 1 + t F'' <= 0 from t = 2 on: only the last row has t >= 2.
+    falling = custom_potential(lambda t, order: constant(-0.5, t, order), (1e-6, math.inf))
+    x = np.array([[0.3, 0.4], [0.5, 0.5], [0.2, 0.9], [1.5, 1.0]])
+    chart_deviation(falling, x[:3])
+    with pytest.raises(NonAdmissibleError):
+        chart_deviation(falling, x)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torickahler
-from torickahler.cli import RunReport, dispatch, emit
+from torickahler.cli import RunReport, build_parser, dispatch, emit
 
 
 def run(capsys, *argv):
@@ -239,3 +239,39 @@ def test_empty_report_is_valid_json():
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit(RunReport("noop", {}), "yaml", None)
+
+
+def test_reused_parser_matches_a_fresh_parser_per_call(capsys):
+    # One parser serves every dispatch of a process; no default or appended
+    # value may leak from one call into the next.
+    sequence = [
+        ["legendre", "--samples", "3"],
+        ["legendre"],
+        ["curvature", "--potential", "fubini_study", "--dim", "2", "--t", "0.3", "--t", "0.4"],
+        ["curvature", "--potential", "fubini_study", "--dim", "2", "--t", "0.5"],
+        ["derive"],
+        ["decay", "--dim", "3", "--samples", "4"],
+        ["legendre", "--samples", "0"],
+        ["frobnicate"],
+        [],
+        ["derive", "--dim", "3", "--format", "csv"],
+        ["derive", "--dim", "3"],
+    ]
+
+    def outcomes(fresh):
+        build_parser.cache_clear()
+        seen = []
+        for argv in sequence:
+            if fresh:
+                build_parser.cache_clear()
+            code = dispatch(argv)
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    fresh, reused = outcomes(True), outcomes(False)
+    assert build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 2, 2, 2, 2, 0, 0]
+    assert json.loads(reused[1][1])["inputs"]["samples"] == 20
+    assert len(json.loads(reused[3][1])["results"]) == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torickahler import curvature, potentials
 from torickahler.curvature import (
     STENCIL_BLOCK,
     extremal_check,
@@ -25,6 +26,7 @@ from torickahler.potentials import (
     flat_radial,
     fubini_study_potential,
     fubini_study_radial,
+    custom_radial,
     generalized_burns_potential,
     scalar_flat_family,
     symplectic_evaluator,
@@ -408,8 +410,75 @@ def test_legendre_random_points():
 
 
 def test_legendre_rejects_non_admissible():
-    from torickahler.potentials import custom_radial
-
     falling = custom_radial(lambda s, order: -1.0 * variable(s, order), "minus_s")
     with pytest.raises(NonAdmissibleError):
         legendre_roundtrip(falling, [0.0, 0.0])
+
+
+def _count_radial_jets(monkeypatch):
+    """Count radial jets, whether reached through ``potentials`` or ``curvature``."""
+    calls = []
+    original = potentials.radial_jet
+
+    def counted(f, s, order=6):
+        calls.append(np.shape(s))
+        return original(f, s, order)
+
+    monkeypatch.setattr(potentials, "radial_jet", counted)
+    monkeypatch.setattr(curvature, "radial_jet", counted)
+    return calls
+
+
+_ROUNDTRIP_FIELDS = ("x", "s", "t", "gradient_residual", "duality_gap", "hessian_residual")
+
+
+@pytest.mark.parametrize("profile", [flat_radial(), fubini_study_radial()], ids=lambda f: f.label)
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_batched_legendre_roundtrip_matches_row_by_row(profile, n):
+    a = np.random.default_rng(14).uniform(-0.8, 0.8, (3, 4, n))
+    batch = legendre_roundtrip(profile, a)
+    assert np.array_equal(batch.a, a)
+    assert batch.x.shape == (3, 4, n) and batch.duality_gap.shape == (3, 4)
+    for index in np.ndindex(3, 4):
+        one = legendre_roundtrip(profile, a[index])
+        assert isinstance(one.hessian_residual, float)
+        for name in _ROUNDTRIP_FIELDS:
+            assert np.array_equal(getattr(batch, name)[index], getattr(one, name)), name
+
+
+@pytest.mark.parametrize("samples", [1, 7, 60])
+def test_legendre_roundtrip_radial_jets_per_batch(monkeypatch, samples):
+    # One jet at s for (f, f', f''), one on the stencil for the gradient and
+    # the Hessian together, however many rows the block holds.
+    calls = _count_radial_jets(monkeypatch)
+    a = np.random.default_rng(15).uniform(-0.8, 0.8, (samples, 3))
+    legendre_roundtrip(fubini_study_radial(), a)
+    assert calls == [(samples,), (samples, 1 + 4 * 3**2)]
+
+
+def test_legendre_roundtrip_evaluates_rows_in_blocks(monkeypatch):
+    # n = 2: 17 stencil points per row, so a block of 40 points holds 2 rows.
+    a = np.random.default_rng(16).uniform(-0.8, 0.8, (7, 2))
+    expected = [legendre_roundtrip(fubini_study_radial(), row) for row in a]
+    monkeypatch.setattr(curvature, "STENCIL_BLOCK", 40)
+    calls = _count_radial_jets(monkeypatch)
+    batch = legendre_roundtrip(fubini_study_radial(), a)
+    assert [shape[0] for shape in calls] == [2, 2, 2, 2, 2, 2, 1, 1]
+    for k, one in enumerate(expected):
+        for name in _ROUNDTRIP_FIELDS:
+            assert np.array_equal(getattr(batch, name)[k], getattr(one, name)), name
+
+
+def test_one_bad_row_fails_the_whole_roundtrip_batch():
+    # f = s - s^2/10 has f' + s f'' = 1 - 2s/5 > 0 only for s < 2.5.
+    def jet(s, order):
+        v = variable(s, order)
+        return v - 0.1 * v * v
+
+    bending = custom_radial(jet, "bending")
+    good = np.array([[0.0, 0.0], [-0.3, 0.1], [0.2, -0.4]])
+    legendre_roundtrip(bending, good)
+    with pytest.raises(NonAdmissibleError):
+        legendre_roundtrip(bending, np.vstack([good, [[0.5, 0.5]]]))
+    with pytest.raises(DomainError):
+        legendre_roundtrip(bending, np.zeros((0, 2)))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from torickahler.potentials import (
     generalized_burns_potential,
     hermitian_metric,
     kahler_to_t_potential,
+    legendre_dual,
     local_t_potential,
     radial_jet,
     scalar_flat_family,
@@ -165,6 +167,18 @@ def test_kahler_to_t_fubini_study():
     assert result.s == pytest.approx(1.0, rel=1e-11)
     assert result.F == pytest.approx(0.5 * math.log(0.5), rel=1e-11)
     assert result.F2 == pytest.approx(2.0, rel=1e-10)
+
+
+def test_legendre_dual_takes_a_batch():
+    f = fubini_study_radial()
+    s, t = np.array([0.3, 1.0, 4.0]), np.array([0.2, 0.5, 0.8])
+    batch = legendre_dual(f, s, t)
+    for k in range(3):
+        one = legendre_dual(f, float(s[k]), float(t[k]))
+        assert all(type(v) is float for v in one)
+        # numpy's vector and scalar log loops may differ in the last bit.
+        assert batch.F[k] == pytest.approx(one.F, rel=4 * np.finfo(float).eps, abs=0.0)
+        assert batch.F2[k] == one.F2
 
 
 def test_kahler_to_t_out_of_range():
@@ -412,3 +426,42 @@ def test_scalar_flat_family_domain_guard():
     pot = scalar_flat_family(3, 1.96, -1.02)
     with pytest.raises(DomainError):
         f2_jet(pot, pot.domain[0] - 0.2, 2)
+
+
+def _exact_gap(n, a, b, t):
+    t = Fraction(t)
+    return t**n - Fraction(a) * t - Fraction(b)
+
+
+@pytest.mark.parametrize(
+    "n, t0",
+    [(3, 1.5), (4, 1.5), (5, 1.25), (6, 1.5), (7, 1.75), (8, 1.25), (6, 1.3), (7, 1.1)],
+)
+def test_tangent_family_domain_starts_at_the_double_root(n, t0):
+    # a = n t0^(n-1), b = -(n-1) t0^n make t^n - a t - b = (t - t0)^2 (...), so
+    # F'' has a pole at t0.  For dyadic t0 the coefficients are exact floats and
+    # the double root is t0 itself; for the others rounding splits it into two
+    # roots about 1e-8 apart, and the domain starts at the larger.
+    a, b = n * t0 ** (n - 1), -(n - 1) * t0**n
+    pot = scalar_flat_family(n, a, b)
+    start = pot.domain[0]
+    assert type(start) is float
+    assert _exact_gap(n, a, b, start) <= 0 < _exact_gap(n, a, b, math.nextafter(start, math.inf))
+    if Fraction(t0).denominator in (1, 2, 4):
+        assert start == t0
+    assert start == pytest.approx(t0, rel=1e-7)
+    with pytest.raises(DomainError):
+        admissibility(pot, (0.5 * t0, 3.0 * t0))
+    assert admissibility(pot, (1.01 * t0, 3.0 * t0)).passed
+
+
+def test_family_domain_decides_root_existence_exactly():
+    # Lifting the tangent gap of n = 4, t0 = 1.5 by 1e-9 leaves no real root;
+    # lowering it by 1e-9 gives two roots about 1e-5 apart around t0.
+    n, t0 = 4, 1.5
+    a, b = n * t0 ** (n - 1), -(n - 1) * t0**n
+    assert scalar_flat_family(n, a, b - 1e-9).domain[0] == 0.0
+    lowered = scalar_flat_family(n, a, b + 1e-9).domain[0]
+    assert t0 < lowered < t0 + 1e-4
+    assert _exact_gap(n, a, b + 1e-9, lowered) <= 0 < _exact_gap(n, a, b + 1e-9, math.nextafter(lowered, 2.0))
+    assert scalar_flat_family(3, -1.0, -0.5).domain[0] == 0.0  # gap increasing from gap(0) = 0.5

@@ -13,6 +13,7 @@ from torickahler.potentials import (
     f2_value,
     generalized_burns_potential,
 )
+from torickahler import scalarflat
 from torickahler.scalarflat import (
     boundary_match,
     boundary_regularity,
@@ -140,6 +141,23 @@ def test_denominator_positive_beyond_one(n):
 # ---------------------------------------------------------------------------
 # delta positivity and the determinant factorization
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 50, 200, 300])
+def test_integer_horner_matches_fraction_horner(n):
+    # The library evaluates Q on integers over a common denominator; this
+    # file's _poly_eval is the plain Fraction Horner rule it must agree with.
+    matches = [solve_boundary_coefficients(n), boundary_match(n, Fraction(1, 3), Fraction(2, 7))]
+    for match in matches:
+        for t in (1.0, 1.0000001, 1.5, 2.0, 3.7, 5.0, 25.0, 0.3):
+            exact = _poly_eval(list(match.quotient), Fraction(t))
+            assert scalarflat._poly_eval(match._quotient_form, t) == exact
+            if abs(exact) < 1e300:
+                assert match.quotient_value(t) == float(exact)
+            if match.remainder == 0 and t >= 1.0:
+                assert match.delta(t) == float(2**n * exact / Fraction(t) ** n)
+    assert matches[0].quotient_value(1.0) == 1.0
+    assert scalarflat._poly_eval(matches[0]._quotient_form, 1) == 1
 
 
 def test_delta_at_one():
