@@ -5,8 +5,9 @@ Hessian and its inverse have closed forms, and the scalar curvature reduces to
 
     S = t^(1-n) (t^(n+1) F'' / (1 + t F''))'' ,
 
-which :func:`scalar_curvature_reduced` evaluates exactly through jet
-arithmetic.  Independently, :func:`scalar_curvature_abreu` computes
+which :func:`scalar_curvature_reduced` evaluates in closed form, by Leibniz's
+rule, from one second-order jet of ``F''``; no power of t is formed.
+Independently, :func:`scalar_curvature_abreu` computes
 
     S = -(1/2) sum_ij d^2 G^ij / dx_i dx_j
 
@@ -29,7 +30,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegeneratePotentialError, DomainError, NonAdmissibleError
-from .jets import derivative, jet_pow, variable
 from .potentials import (
     RadialKahlerPotential,
     TPotential,
@@ -46,6 +46,7 @@ __all__ = [
     "CurvatureReport",
     "LegendreRoundtrip",
     "hessian_t_family",
+    "inverse_hessian_t_family",
     "hessian_general",
     "scalar_curvature_reduced",
     "scalar_curvature_abreu",
@@ -58,6 +59,9 @@ __all__ = [
 #: :func:`legendre_roundtrip` and :func:`~torickahler.asymptotics.chart_deviation`
 #: evaluate their rows in blocks under the same bound (see :func:`_in_blocks`).
 STENCIL_BLOCK = 8192
+
+#: The smallest normal float; below it a value has lost bits to underflow.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _in_blocks(fn: Callable, per_row: int, *rows: np.ndarray):
@@ -115,29 +119,31 @@ class LegendreRoundtrip:
     hessian_residual: float | np.ndarray
 
 
-def _t_family_matrices(
-    x: np.ndarray, f2: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
-    """Closed forms for G, G^{-1} and det G^{-1} of the radial family.
+def _t_family_inverse(x: np.ndarray, f2: float | np.ndarray) -> np.ndarray:
+    """Closed form for G^{-1} of the radial family, shape (..., n, n).
 
-    ``x`` has shape (..., n) and ``f2`` the batch shape (...); G and G^{-1}
-    have shape (..., n, n).
+    ``x`` has shape (..., n) and ``f2`` the batch shape (...).
     """
-    n = x.shape[-1]
     t = x.sum(axis=-1)
-    denom = 1.0 + t * f2
     f2_m = np.asarray(f2)[..., None, None]
-    # Built in place on diagonal views: at n = 200 each fresh n x n temporary
+    # Built in place on a diagonal view: at n = 200 each fresh n x n temporary
     # costs more than the arithmetic.
-    G = np.empty(x.shape + (n,))
-    G[...] = 0.5 * f2_m
-    np.einsum("...ii->...i", G)[...] += 0.5 / x
     G_inv = x[..., :, None] * x[..., None, :]
     G_inv *= -f2_m
     np.einsum("...ii->...i", G_inv)[...] += x * np.asarray(1.0 + f2 * t)[..., None]
-    G_inv *= np.asarray(2.0 / denom)[..., None, None]
-    det_G_inv = (2.0**n) * np.prod(x, axis=-1) / denom
-    return G, G_inv, det_G_inv
+    G_inv *= np.asarray(2.0 / (1.0 + t * f2))[..., None, None]
+    return G_inv
+
+
+def _t_family_f2(pot: TPotential, x: Sequence[float]) -> tuple[np.ndarray, float]:
+    """``x`` as a float vector and the admissible F''(t) at t = sum x_i, after the domain checks."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise DomainError("x must be a nonempty vector")
+    if np.any(x <= 0.0):
+        raise DomainError("x must lie strictly inside the positive orthant")
+    t = float(x.sum())
+    return x, admissible_f2(t, f2_value(pot, t))
 
 
 def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
@@ -150,15 +156,17 @@ def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
     so it has at most one nonpositive eigenvalue, and by the matrix determinant
     lemma det G = (1 + t F'') / prod(2 x_i) > 0 rules that one out.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise DomainError("x must be a nonempty vector")
-    if np.any(x <= 0.0):
-        raise DomainError("x must lie strictly inside the positive orthant")
-    t = float(x.sum())
-    f2 = admissible_f2(t, f2_value(pot, t))
-    G, G_inv, det_G_inv = _t_family_matrices(x, f2)
-    return HessianEval(x=x, G=G, G_inv=G_inv, det_G_inv=float(det_G_inv), posdef=True)
+    x, f2 = _t_family_f2(pot, x)
+    G = np.full((x.size, x.size), 0.5 * f2)
+    G[np.diag_indices(x.size)] += 0.5 / x
+    det_G_inv = (2.0**x.size) * np.prod(x) / (1.0 + x.sum() * f2)
+    return HessianEval(x=x, G=G, G_inv=_t_family_inverse(x, f2), det_G_inv=float(det_G_inv), posdef=True)
+
+
+def inverse_hessian_t_family(pot: TPotential, x: Sequence[float]) -> np.ndarray:
+    """G^{-1} of :func:`hessian_t_family` alone, with the same checks, built without G."""
+    x, f2 = _t_family_f2(pot, x)
+    return _t_family_inverse(x, f2)
 
 
 def _stencil_points(x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
@@ -250,23 +258,62 @@ def hessian_general(
     )
 
 
-def scalar_curvature_reduced(
-    pot: TPotential, n: int, t: float | np.ndarray, order: int = 4
-) -> float | np.ndarray:
-    """S = t^(1-n) (t^(n+1) F'' / (1 + t F''))'' via jet arithmetic.
+def scalar_curvature_reduced(pot: TPotential, n: int, t: float | np.ndarray) -> float | np.ndarray:
+    """S = t^(1-n) (t^(n+1) F'' / (1 + t F''))'' from one second-order jet of F''.
 
-    An array of t is evaluated as one batch of jets and gives S elementwise;
-    every t must be in the domain and admissible.
+    With u = F'', D = 1 + t u and phi = u / D, Leibniz's rule turns the
+    formula into S = n(n+1) phi + 2(n+1) t phi' + t^2 phi'', where
+
+        phi'  = (u' - u^2) / D^2,
+        phi'' = (u'' - 2 u u') / D^2 - 2 (u' - u^2)(u + t u') / D^3.
+
+    No power of t is formed, so S is finite wherever F'' and its first two
+    derivatives are.  An array of t is one batch of jets and gives S
+    elementwise, bit for bit what each t gives alone; every t must be in the
+    domain and admissible.  Where u, u' or u'' has underflowed far enough to
+    matter, S is refused rather than returned (see :func:`_check_resolved`).
     """
     if n < 1:
         raise DomainError("dimension n must be at least 1")
-    f2 = f2_jet(pot, t, order)
-    t = f2.base  # a float, or the batch as a float ndarray
-    admissible_f2(t, f2.value)
-    tj = variable(t, order)
-    denom = 1.0 + tj * f2
-    inner = jet_pow(tj, n + 1) * f2 / denom
-    return t ** (1 - n) * derivative(inner, 2)
+    jet = f2_jet(pot, t, 2)
+    t, c = jet.base, jet.coefficients  # t: a float, or the batch as a float ndarray
+    u, du, d2u = admissible_f2(t, c[0]), c[1], 2.0 * c[2]
+    D = 1.0 + t * u
+    D2 = D * D
+    gap = du - u * u
+    phi1 = gap / D2
+    phi2 = (d2u - 2.0 * u * du) / D2 - 2.0 * gap * (u + t * du) / (D2 * D)
+    terms = (n * (n + 1) * (u / D), 2 * (n + 1) * t * phi1, t * (t * phi2))
+    if isinstance(t, np.ndarray):
+        underflow = bool((np.minimum(np.minimum(abs(u), abs(du)), abs(d2u)) < _TINY).any())
+    else:
+        underflow = min(abs(u), abs(du), abs(d2u)) < _TINY
+    if underflow:
+        _check_resolved(n, t, (u, du, d2u), D2, terms)
+    return terms[0] + terms[1] + terms[2]
+
+
+def _check_resolved(n: int, t, inputs: tuple, D2, terms: tuple) -> None:
+    """Refuse the t at which underflow in u, u' or u'' could change S beyond roundoff.
+
+    An input below the smallest normal float in magnitude, zero included, may
+    be off by up to that size, and to first order the three inputs move S by
+    n(n+1), 2(n+1) t and t^2 times their error over D^2.  S is refused where
+    that slack exceeds eps times the size of its three terms.  A jet that is
+    zero in all three inputs is taken as exact: F'' = 0 to second order, as
+    for the flat metric, where S = 0.  A potential whose F'' underflows
+    entirely must refuse on its own, as :func:`scalar_flat_family` does.
+    """
+    t = np.asarray(t)
+    low = [np.abs(v) < _TINY for v in inputs]
+    tiny_t = _TINY * t
+    slack = (_TINY * n * (n + 1) * low[0] + 2 * (n + 1) * tiny_t * low[1] + t * tiny_t * low[2]) / D2
+    size = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
+    flat = (inputs[0] == 0.0) & (inputs[1] == 0.0) & (inputs[2] == 0.0)
+    bad = (slack > np.finfo(float).eps * size) & ~flat
+    if bad.any():
+        where = t[bad].flat[0] if t.ndim else float(t)
+        raise DomainError(f"F'' or its first two derivatives underflow at t={where}; S is not resolved there")
 
 
 def scalar_curvature_abreu(
@@ -408,7 +455,7 @@ def _roundtrip_rows(f: RadialKahlerPotential, a: np.ndarray, fd_step: float) -> 
     a_dot_x = (a[:, None, :] @ x[:, :, None])[:, 0, 0]  # row by row what np.dot(a, x) gives
     duality_gap = np.abs(f0 + g_value - a_dot_x)
 
-    _, G_inv, _ = _t_family_matrices(x, dual.F2)
+    G_inv = _t_family_inverse(x, dual.F2)
     hess_a = _richardson_combine(values, h)
     _checked_inverse(hess_a)
     hessian_residual = np.max(np.abs(hess_a - G_inv), axis=(-2, -1))

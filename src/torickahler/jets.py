@@ -18,14 +18,17 @@ are plain left-to-right sums, not :func:`math.fsum`; jets of order six add at
 most seven terms, and an mpmath reference test bounds the roundoff.
 
 Jets propagate derivatives through compositions of rational operations and
-logarithms exactly (up to roundoff), so a quantity like the second derivative
-of ``t^(n+1) F'' / (1 + t F'')`` comes out with no step-size error at all.
+logarithms exactly (up to roundoff), so the derivatives of ``F''`` that the
+curvature formulas read come out with no step-size error at all.
+
+A jet combined with a plain number uses the number directly, with no
+constant jet built for it (see :func:`arith`); that keeps the per-point cost
+of scalar jet code low, and a batch runs the same code as its rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,11 +46,11 @@ __all__ = [
     "derivative",
 ]
 
-#: Two spare orders beyond the four derivatives the curvature formulas need.
+#: Default order of lifts and radial jets.  Reduced S reads F'' to order two
+#: and the Legendre bridge f to order two; the rest is headroom for callers.
 DEFAULT_ORDER = 6
 
 
-@dataclass(frozen=True)
 class TaylorJet:
     """Expansion of a scalar function about ``base``, truncated at some order.
 
@@ -55,24 +58,38 @@ class TaylorJet:
     derivative divided by k!.  ``base`` is a float, or an ndarray for a batch
     of base points; in a batch every coefficient is an ndarray of the base's
     shape.  Coefficient arrays are shared between jets, never written to.
+    A jet is immutable: assigning or deleting an attribute raises.
     """
 
-    base: float | np.ndarray
-    coefficients: tuple
+    __slots__ = ("base", "coefficients")
 
     # Keeps numpy from broadcasting over a jet: ``array * jet`` calls __rmul__.
     __array_ufunc__ = None
 
-    def __post_init__(self) -> None:
-        coeffs = self.coefficients
-        if not coeffs:
+    def __init__(self, base: float | np.ndarray, coefficients: tuple) -> None:
+        if not coefficients:
             raise ValueError("a jet needs at least the constant coefficient")
-        if isinstance(self.base, np.ndarray):
-            finite = np.isfinite(coeffs).all()
+        if isinstance(base, np.ndarray):
+            finite = np.isfinite(coefficients).all()
         else:
-            finite = all(map(math.isfinite, coeffs))
+            finite = all(map(math.isfinite, coefficients))
         if not finite:
             raise DomainError("jet coefficients must be finite")
+        _set_base(self, base)
+        _set_coefficients(self, coefficients)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TaylorJet is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TaylorJet is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which reruns its checks.
+        return (TaylorJet, (self.base, self.coefficients))
+
+    def __repr__(self) -> str:
+        return f"TaylorJet(base={self.base!r}, coefficients={self.coefficients!r})"
 
     @property
     def order(self) -> int:
@@ -83,37 +100,37 @@ class TaylorJet:
         """Value of the represented function at the base point(s)."""
         return self.coefficients[0]
 
-    # Operator sugar; all arithmetic funnels through arith() below.
+    # Operator sugar: each operator is one arith() call, which also takes a
+    # plain number for either operand.
     def __add__(self, other):
-        return arith(self, _as_jet(other, self), "add")
+        return arith(self, other, "add")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return arith(self, _as_jet(other, self), "sub")
+        return arith(self, other, "sub")
 
     def __rsub__(self, other):
-        return arith(_as_jet(other, self), self, "sub")
+        return arith(other, self, "sub")
 
     def __mul__(self, other):
-        return arith(self, _as_jet(other, self), "mul")
+        return arith(self, other, "mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return arith(self, _as_jet(other, self), "div")
+        return arith(self, other, "div")
 
     def __rtruediv__(self, other):
-        return arith(_as_jet(other, self), self, "div")
+        return arith(other, self, "div")
 
     def __neg__(self):
-        return arith(constant(0.0, self.base, self.order), self, "sub")
+        return arith(0.0, self, "sub")
 
 
-def _as_jet(value, template: TaylorJet) -> TaylorJet:
-    if isinstance(value, TaylorJet):
-        return value
-    return constant(value, template.base, template.order)
+# The slots' own setters, which TaylorJet.__setattr__ does not reach.
+_set_base = TaylorJet.base.__set__
+_set_coefficients = TaylorJet.coefficients.__set__
 
 
 def constant(value, base: float | np.ndarray = 0.0, order: int = DEFAULT_ORDER) -> TaylorJet:
@@ -178,15 +195,47 @@ def _check_compatible(a: TaylorJet, b: TaylorJet) -> None:
         raise DomainError(f"jet orders differ: {a.order} vs {b.order}")
 
 
-def arith(a: TaylorJet, b: TaylorJet, op: str) -> TaylorJet:
-    """Combine two jets sharing base point(s) and order.
+def arith(a: TaylorJet | float, b: TaylorJet | float, op: str) -> TaylorJet:
+    """Combine two jets sharing base point(s) and order, or a jet and a number.
 
     ``mul`` is the truncated Cauchy product; ``div`` is power-series long
     division, which requires the divisor's constant term to be nonzero at
     every base point.  Sums run left to right in the index of ``a``.
+
+    Either operand may be a number, standing for the constant jet of that
+    value.  A float or int is applied directly, to one jet or to a batch:
+    ``add`` and ``sub`` change the constant term only, ``mul`` and ``div``
+    by the number scale each coefficient, and a number divided by a jet is
+    the long division of ``(number, 0, 0, ...)``.  That gives the constant
+    jet's bits up to the sign of a zero without building the constant jet.
+    Any other operand, such as an ndarray, is lifted with :func:`constant`.
     """
-    _check_compatible(a, b)
-    ac, bc = a.coefficients, b.coefficients
+    if isinstance(a, TaylorJet) and isinstance(b, TaylorJet):
+        _check_compatible(a, b)
+        jet, ac, bc = a, a.coefficients, b.coefficients
+    else:
+        jet, number = (a, b) if isinstance(a, TaylorJet) else (b, a)
+        c = jet.coefficients
+        if not isinstance(number, (int, float)):
+            lifted = constant(number, jet.base, jet.order).coefficients
+            ac, bc = (c, lifted) if jet is a else (lifted, c)
+        else:
+            x = float(number)
+            if not math.isfinite(x):
+                raise DomainError("jet coefficients must be finite")
+            if op == "add":
+                return TaylorJet(jet.base, (c[0] + x,) + c[1:])
+            if op == "sub":
+                if jet is a:
+                    return TaylorJet(jet.base, (c[0] - x,) + c[1:])
+                return TaylorJet(jet.base, (x - c[0],) + tuple(-v for v in c[1:]))
+            if op == "mul":
+                return TaylorJet(jet.base, tuple(v * x for v in c))
+            if op == "div" and jet is a:
+                if x == 0.0:
+                    raise SingularPointError("division by a jet vanishing at its base point")
+                return TaylorJet(jet.base, tuple(v / x for v in c))
+            ac, bc = (x,) + (0.0,) * jet.order, c
     if op == "add":
         coeffs = tuple(x + y for x, y in zip(ac, bc))
     elif op == "sub":
@@ -212,7 +261,7 @@ def arith(a: TaylorJet, b: TaylorJet, op: str) -> TaylorJet:
         coeffs = tuple(q)
     else:
         raise ValueError(f"unknown jet operation {op!r}")
-    return TaylorJet(a.base, coeffs)
+    return TaylorJet(jet.base, coeffs)
 
 
 def ln_jet(a: TaylorJet) -> TaylorJet:
@@ -245,7 +294,7 @@ def exp_jet(a: TaylorJet) -> TaylorJet:
 def jet_pow(a: TaylorJet, m: int) -> TaylorJet:
     """Integer power of a jet by repeated squaring; a negative m divides once."""
     if m < 0:
-        return arith(constant(1.0, a.base, a.order), jet_pow(a, -m), "div")
+        return arith(1.0, jet_pow(a, -m), "div")
     result = None
     square = a
     while m:

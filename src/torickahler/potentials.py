@@ -303,7 +303,9 @@ def scalar_flat_family(
     overflow (n ln t > 300) the jet is built from ``s = (a t + b) t^(-n)`` as
     ``F'' = s / (t (1 - s))``; elsewhere from ``t^n`` itself, since near t = 1
     the scaled form loses digits to the cancellation in ``1 - s``.  The form
-    is chosen point by point, so a batch may straddle n ln t = 300.
+    is chosen point by point, so a batch may straddle n ln t = 300.  Where
+    ``s`` underflows (n ln t beyond about 708) F'' is returned as 0, but a
+    jet of order one or more raises :class:`DomainError`.
     """
     if n < 1:
         raise DimensionError("the family needs dimension n >= 1")
@@ -317,6 +319,12 @@ def scalar_flat_family(
         numer = a * tj + b
         if scaled:
             numer = numer * jet_pow(1.0 / tj, n)
+            # Where (a t + b) t^(-n) underflows, F'' = 0 is still its value to
+            # within the smallest normal float, but its derivatives are lost.
+            lost = (abs(numer.value) < np.finfo(float).tiny) & (a * t + b != 0.0)
+            if order and np.any(lost):
+                bad = t[lost][0] if isinstance(t, np.ndarray) else t
+                raise DomainError(f"F'' underflows at t={bad}; its derivatives are not representable")
             gap = 1.0 - numer
         else:
             gap = jet_pow(tj, n) - numer
@@ -464,8 +472,8 @@ def _gamma(f: RadialKahlerPotential, s: float) -> float:
     return 2.0 * s * radial_jet(f, s, 1).coefficients[1]
 
 
-def _gamma_and_slope(f: RadialKahlerPotential, s: float) -> tuple[float, float, float]:
-    """gamma, gamma', and the magnitude scale of the slope's two terms.
+def _gamma_and_slope(f: RadialKahlerPotential, s: float | np.ndarray) -> tuple:
+    """gamma, gamma', and the magnitude scale of the slope's two terms; elementwise for an array of s.
 
     The scale lets callers tell a genuinely negative slope from one that is
     zero up to cancellation (for very large s both terms can dwarf their sum).
@@ -481,13 +489,15 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float, *, max_doublings: 
 
     The root is bracketed (gamma is monotone wherever f is admissible) and
     found by Brent's method to a relative tolerance of 4 eps;
-    :func:`legendre_dual` turns it into F and F''.
+    :func:`legendre_dual` turns it into F and F''.  Before the search, gamma'
+    is checked at nine evenly spaced probes of the bracket, one batched radial
+    jet; the first clearly negative slope raises :class:`NonAdmissibleError`.
     """
     t = float(t)
     if t <= 0.0:
         raise DomainError("t must be positive")
 
-    def clearly_negative(slope: float, scale: float) -> bool:
+    def clearly_negative(slope, scale):
         return slope < -1e-8 * scale
 
     gamma0, slope0, scale0 = _gamma_and_slope(f, t)
@@ -515,10 +525,12 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float, *, max_doublings: 
         if doublings > max_doublings:
             raise BracketRangeError(f"no s with gamma(s) <= {t}; t outside the potential's range")
 
-    for u in np.linspace(lo, hi, 9):
-        _, slope, scale = _gamma_and_slope(f, float(u))
-        if clearly_negative(slope, scale):
-            raise NonAdmissibleError(f"gamma is not invertible on the bracket (slope <= 0 at s = {u})")
+    probes = np.linspace(lo, hi, 9)
+    _, slopes, scales = _gamma_and_slope(f, probes)
+    failing = np.flatnonzero(clearly_negative(slopes, scales))
+    if failing.size:
+        u = probes[failing[0]]
+        raise NonAdmissibleError(f"gamma is not invertible on the bracket (slope <= 0 at s = {u})")
 
     # A negligible xtol leaves the relative tolerance in charge at every scale of s.
     fp = np.finfo(float)

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy import integrate
 
-from .curvature import hessian_t_family
+from .curvature import inverse_hessian_t_family
 from .errors import AccuracyError, DimensionError, DomainError
 from .potentials import TPotential, _check_t, _integer_form, _poly_eval, f2_value, scalar_flat_family
 
@@ -209,7 +209,7 @@ def delta_check(
         for _ in range(points_per_t):
             weights = rng.uniform(0.2, 1.0, match.n)
             x = t * weights / weights.sum()
-            sign, log_det = np.linalg.slogdet(hessian_t_family(pot, x).G_inv)
+            sign, log_det = np.linalg.slogdet(inverse_hessian_t_family(pot, x))
             factored = log_cofactor + float(np.sum(np.log(x)))
             deviation = abs(float(log_det) - factored) if sign > 0 else math.inf
             max_deviation = max(max_deviation, deviation)

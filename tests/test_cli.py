@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -73,6 +74,24 @@ def test_curvature_reduced_value(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["results"][0]["measured"] == pytest.approx(6.0, abs=1e-9)
+
+
+def test_curvature_reduced_beyond_float_range_of_t_power(capsys):
+    # 10.7^301 overflows, yet F'' ~ 4e-307 is a normal float.  S = 0 there, up
+    # to the roundoff of its three terms, each about n(n+1) F'' in size.
+    code, out = run(capsys, "curvature", "--potential", "burns_simanca", "--dim", "300", "--t", "10.7", "--t", "1.5")
+    assert code == 0
+    eps = sys.float_info.epsilon
+    for r, t in zip(json.loads(out)["results"], (10.7, 1.5), strict=True):
+        f2 = math.exp(math.log(299 * t - 298) - math.log(t) - 300 * math.log(t))
+        assert abs(r["measured"]) <= 64 * eps * 300 * 301 * f2
+
+
+def test_curvature_refuses_where_f2_underflows(capsys):
+    # At t = 50, F'' ~ 1e-510 is below every float: exit 2, naming the cause.
+    code = dispatch(["curvature", "--potential", "burns_simanca", "--dim", "300", "--t", "50"])
+    assert code == 2
+    assert "underflows at t=50.0" in capsys.readouterr().err
 
 
 def test_curvature_requires_some_input(capsys):

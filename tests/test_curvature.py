@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,111 @@ def test_whole_family_is_scalar_flat():
         checked += 1
 
 
+def _mp_reduced_curvature(F2, n, t):
+    """S = t^(1-n) (t^(n+1) phi)'' with phi = F''/(1 + t F''), by 50-digit mpmath differentiation.
+
+    Also returns the size n(n+1)|phi| + 2(n+1) t |phi'| + t^2 |phi''| of the
+    three terms whose sum is S, which sets the scale of its roundoff.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        T = mpmath.mpf(t)
+
+        def phi(u):
+            return F2(u) / (1 + u * F2(u))
+
+        S = T ** (1 - n) * mpmath.diff(lambda u: u ** (n + 1) * phi(u), T, 2)
+        p0, p1, p2 = (mpmath.diff(phi, T, k) for k in range(3))
+        scale = n * (n + 1) * abs(p0) + 2 * (n + 1) * T * abs(p1) + T * T * abs(p2)
+    return S, scale
+
+
+def _reference_cases():
+    """(potential, mpmath F'', n, t, exact S as a function of mpf t)."""
+    cases = []
+    for n in range(1, 9):
+        for t in (0.02, 0.3, 0.7, 0.98):
+            cases.append((fubini_study_potential(), lambda u: 1 / (1 - u), n, t, lambda T, n=n: n * (n + 1)))
+        for t in (1.05, 2.0, 7.0, 40.0):
+            cases.append(
+                (generalized_burns_potential(), lambda u: 1 / (u * (u - 1)), n, t, lambda T, n=n: (n * n - 3 * n + 2) / T**2)
+            )
+    for n in range(2, 9):
+        for a, b in ((n - 1.0, 2.0 - n), (1.5, -0.5), (-1.2, 1.7)):
+            pot = scalar_flat_family(n, a, b)
+            start = max(pot.domain[0], 0.5)
+
+            def f2(u, a=a, b=b, n=n):
+                return (a * u + b) / (u * (u**n - a * u - b))
+
+            cases += [(pot, f2, n, start + dt, lambda T: 0) for dt in (0.05, 0.5, 2.0, 6.0)]
+    bs = burns_simanca_potential(300)
+    for t in (1.01, 1.5, 3.0):
+        cases.append((bs, _burns_simanca_f2(300), 300, t, lambda T: 0))
+    return cases
+
+
+def _burns_simanca_f2(n):
+    return lambda u: ((n - 1) * u + 2 - n) / (u * (u**n - (n - 1) * u - (2 - n)))
+
+
+def test_reduced_curvature_matches_mpmath_reference():
+    # The closed form against mpmath's derivative of the formula itself, the
+    # error scaled by the size of the three terms that sum to S.  The worst
+    # case over these points is 38 eps (Fubini-Study, n = 1, t = 0.98); the
+    # jet composition it replaced reached 1307 eps there.
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for pot, F2, n, t, exact in _reference_cases():
+        ref, scale = _mp_reduced_curvature(F2, n, t)
+        with mpmath.workdps(50):
+            assert abs(ref - exact(mpmath.mpf(t))) <= 1e-30 * scale
+        worst = max(worst, float(abs(scalar_curvature_reduced(pot, n, t) - ref) / scale))
+    assert worst <= 64 * eps
+
+
+@pytest.mark.parametrize("n, t", [(300, 10.6), (300, 10.7), (300, 10.8), (100, 1140.0)])
+def test_reduced_curvature_beyond_float_range_of_t_power(n, t):
+    # t^(n+1) overflows here while u = F'' and its first two derivatives are
+    # normal floats: S must still meet the mpmath reference's scaled bound.
+    with pytest.raises(OverflowError):
+        t ** (n + 1)
+    pot = burns_simanca_potential(n)
+    c = potentials.f2_jet(pot, t, 2).coefficients
+    assert min(abs(v) for v in c) >= np.finfo(float).tiny
+    ref, scale = _mp_reduced_curvature(_burns_simanca_f2(n), n, t)
+    assert abs(ref) <= 1e-30 * scale
+    assert abs(scalar_curvature_reduced(pot, n, t) - ref) <= 64 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize(
+    "pot, n, t",
+    [
+        (burns_simanca_potential(300), 300, 50.0),  # u underflows to 0
+        (burns_simanca_potential(300), 300, 11.0),  # u subnormal
+        (burns_simanca_potential(30), 30, 1e11),
+        (burns_simanca_potential(8), 8, 1e33),  # u'' underflows to 0
+        (burns_simanca_potential(8), 8, 1e35),  # u' subnormal
+        (generalized_burns_potential(), 4, 1e80),  # u'' subnormal
+    ],
+    ids=["bs300_t50", "bs300_t11", "bs30_t1e11", "bs8_t1e33", "bs8_t1e35", "gb4_t1e80"],
+)
+def test_reduced_curvature_refuses_underflow(pot, n, t):
+    # At each point one or more of the three terms that sum to S has lost
+    # its digits to underflow, so any value returned would be a guess.
+    with pytest.raises(DomainError, match="underflow"):
+        scalar_curvature_reduced(pot, n, t)
+    with pytest.raises(DomainError, match=f"underflow.* t={re.escape(str(t))}"):
+        scalar_curvature_reduced(pot, n, np.array([2.0, t]))
+
+
+def test_reduced_curvature_of_a_zero_jet_is_zero():
+    # F'' = 0 to second order is no underflow: the flat metric has S = 0.
+    S = scalar_curvature_reduced(flat_potential(), 3, np.array([0.5, 1e200]))
+    assert S.tolist() == [0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # Scalar curvature, general formula
 # ---------------------------------------------------------------------------
@@ -363,10 +469,10 @@ def test_extremal_needs_two_samples():
     ids=["fubini_study", "generalized_burns", "burns_simanca", "family"],
 )
 def test_batched_reduced_curvature_matches_row_by_row(pot, n, ts):
+    # The closed form does the same float operations on a batch as on one t.
     batched = scalar_curvature_reduced(pot, n, ts)
     rows = np.array([scalar_curvature_reduced(pot, n, float(t)) for t in ts])
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(batched - rows) <= 4.0 * eps * (1.0 + np.abs(rows)))
+    assert batched.tolist() == rows.tolist()
     report = extremal_check(pot, n, ts)
     assert [S for _, S in report.points] == batched.tolist()
 

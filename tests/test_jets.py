@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torickahler import jets
 from torickahler.errors import DomainError, InsufficientOrderError, SingularPointError
 from torickahler.jets import (
     TaylorJet,
@@ -114,6 +117,23 @@ def test_nonfinite_coefficients_rejected():
         TaylorJet(0.0, (1.0, math.inf))
     with pytest.raises(ValueError):
         TaylorJet(0.0, ())
+
+
+def test_jets_are_slotted_and_immutable():
+    jet = variable(1.0, 2)
+    assert not hasattr(jet, "__dict__")
+    for name in ("base", "coefficients", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(jet, name, 2.0)
+    with pytest.raises(AttributeError):
+        del jet.base
+    assert (jet.base, jet.coefficients) == (1.0, (1.0, 1.0, 0.0))
+    batch = variable(np.array([1.0, 2.0]), 2)
+    for original in (jet, batch):
+        for clone in (copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+            assert type(clone) is TaylorJet
+            assert np.array_equal(clone.base, original.base)
+            assert all(map(np.array_equal, clone.coefficients, original.coefficients))
 
 
 small = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
@@ -294,3 +314,75 @@ def test_family_jet_matches_mpmath_reference(n):
                     scale = max(abs(r) * T ** (j - k) for j, r in enumerate(ref))
                     worst = max(worst, float(abs(got - want) / scale))
     assert worst <= 2048 * EPS
+
+
+# ---------------------------------------------------------------------------
+# Numbers as operands
+# ---------------------------------------------------------------------------
+
+# Each operator with a number, beside the constant-jet arith() it stands for.
+NUMBER_OPERATORS = {
+    "jet + x": (lambda j, x: j + x, lambda j, c: arith(j, c, "add")),
+    "x + jet": (lambda j, x: x + j, lambda j, c: arith(c, j, "add")),
+    "jet - x": (lambda j, x: j - x, lambda j, c: arith(j, c, "sub")),
+    "x - jet": (lambda j, x: x - j, lambda j, c: arith(c, j, "sub")),
+    "jet * x": (lambda j, x: j * x, lambda j, c: arith(j, c, "mul")),
+    "x * jet": (lambda j, x: x * j, lambda j, c: arith(c, j, "mul")),
+    "jet / x": (lambda j, x: j / x, lambda j, c: arith(j, c, "div")),
+    "x / jet": (lambda j, x: x / j, lambda j, c: arith(c, j, "div")),
+    "-jet": (lambda j, x: -j, lambda j, c: arith(constant(0.0, j.base, j.order), j, "sub")),
+}
+
+nonzero_numbers = st.one_of(
+    st.floats(0.25, 4.0), st.floats(-4.0, -0.25), st.integers(1, 5), st.integers(-5, -1)
+)
+
+
+@given(jet_pairs(), nonzero_numbers)
+@settings(max_examples=150, deadline=None)
+def test_number_operands_match_constant_jets(data, x):
+    # Equal values, so equal bits up to the sign of a zero.  The jet is the
+    # strategy's divisor, whose constant term is bounded away from zero.
+    base, _, rows = data
+    scalar = [TaylorJet(float(base[r]), tuple(rows[r])) for r in range(len(base))]
+    for jet in scalar + [_batch(base, rows)]:
+        lifted = constant(x, jet.base, jet.order)
+        for name, (with_number, with_constant) in NUMBER_OPERATORS.items():
+            got, want = with_number(jet, x), with_constant(jet, lifted)
+            assert got.base is jet.base, name
+            for c_got, c_want in zip(got.coefficients, want.coefficients, strict=True):
+                assert np.array_equal(c_got, c_want), name
+                assert type(c_got) is type(c_want), name
+
+
+def test_number_operands_keep_the_jet_checks():
+    jet = variable(0.5, 3)
+    with pytest.raises(SingularPointError):
+        jet / 0.0
+    for bad in (math.inf, -math.inf, math.nan):
+        for op in (lambda: jet + bad, lambda: bad - jet, lambda: jet * bad, lambda: jet / bad):
+            with pytest.raises(DomainError):
+                op()
+
+
+def test_each_operator_calls_arith_once(monkeypatch):
+    # perfbench's tracer counts jet arithmetic by wrapping jets.arith by name.
+    ops = []
+    original = jets.arith
+
+    def counting(a, b, op):
+        ops.append(op)
+        return original(a, b, op)
+
+    monkeypatch.setattr(jets, "arith", counting)
+    for j in (variable(0.7, 3), variable(np.array([0.7, 1.3]), 3)):
+        cases = [
+            (lambda: j + 2.0, "add"), (lambda: 2.0 + j, "add"), (lambda: j + j, "add"),
+            (lambda: j - 2.0, "sub"), (lambda: 2.0 - j, "sub"), (lambda: j - j, "sub"), (lambda: -j, "sub"),
+            (lambda: j * 2.0, "mul"), (lambda: 2.0 * j, "mul"), (lambda: j * j, "mul"),
+            (lambda: j / 2.0, "div"), (lambda: 2.0 / j, "div"), (lambda: j / j, "div"),
+        ]
+        for fn, op in cases:
+            ops.clear()
+            fn()
+            assert ops == [op]

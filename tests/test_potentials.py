@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torickahler import potentials
 from torickahler.errors import (
     BracketRangeError,
     DomainError,
@@ -198,6 +199,53 @@ def test_kahler_to_t_reproduces_fubini_study_closed_form():
     for t in np.arange(0.1, 0.95, 0.1):
         expected = (1.0 - t) * math.log(1.0 - t)
         assert kahler_to_t_potential(f, float(t)).F == pytest.approx(expected, abs=1e-9)
+
+
+def _dipping_radial():
+    """f = s/2 - s^2/2 + 1.26 s^3/6: gamma = s - 2 s^2 + 1.26 s^3 rises, dips on about (0.41, 0.65), rises."""
+
+    def jfn(s, order):
+        sj = variable(s, order)
+        return 0.5 * sj - 0.5 * sj * sj + (1.26 / 6.0) * sj * sj * sj
+
+    return custom_radial(jfn, "dipping")
+
+
+def _record_batched_radial_jets(monkeypatch) -> list:
+    batches = []
+    original = potentials.radial_jet
+
+    def recording(f, s, order=6):
+        if isinstance(s, np.ndarray):
+            batches.append(s.tolist())
+        return original(f, s, order)
+
+    monkeypatch.setattr(potentials, "radial_jet", recording)
+    return batches
+
+
+def test_kahler_to_t_probes_the_bracket_in_one_batch(monkeypatch):
+    # From t = 0.34 the bracket doubles to [0.34, 1.36] over the dip in
+    # gamma, which only the probes inside the bracket see; two of them fail.
+    # The batch must raise what the per-probe loop it replaced raised, at
+    # the first failing probe.
+    f = _dipping_radial()
+    probes = np.linspace(0.34, 0.34 * 2.0 * 2.0, 9)
+    failing = []
+    for u in probes:
+        c = radial_jet(f, float(u), 2).coefficients
+        f1, f2 = c[1], 2.0 * c[2]
+        if 2.0 * f1 + 2.0 * u * f2 < -1e-8 * (abs(2.0 * f1) + abs(2.0 * u * f2)):
+            failing.append(f"gamma is not invertible on the bracket (slope <= 0 at s = {u})")
+    assert len(failing) == 2
+    batches = _record_batched_radial_jets(monkeypatch)
+    with pytest.raises(NonAdmissibleError) as info:
+        kahler_to_t_potential(f, 0.34)
+    assert str(info.value) == failing[0]
+    assert batches == [probes.tolist()]
+    batches.clear()
+    kahler_to_t_potential(fubini_study_radial(), 0.5)
+    assert [len(b) for b in batches] == [9]
 
 
 def _mixture_radial(alpha: float, beta: float):

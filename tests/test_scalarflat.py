@@ -13,7 +13,7 @@ from torickahler.potentials import (
     f2_value,
     generalized_burns_potential,
 )
-from torickahler import scalarflat
+from torickahler import curvature, scalarflat
 from torickahler.scalarflat import (
     boundary_match,
     boundary_regularity,
@@ -198,6 +198,35 @@ def test_delta_check_fails_for_scaled_quotient(n):
     report = delta_check(scaled, [1.0, 1.5, 2.0, 5.0, 25.0])
     assert not report.passed
     assert report.max_det_deviation == pytest.approx(math.log1p(1e-6), rel=1e-4)
+
+
+@pytest.mark.parametrize("n", (2, 3, 12, 50, 200))
+def test_delta_check_builds_only_the_inverse_hessian(monkeypatch, n):
+    # slogdet must see, bit for bit, the G^{-1} of hessian_t_family at the
+    # same seeded points, and hessian_t_family, which builds G, must not run.
+    match = solve_boundary_coefficients(n)
+    ts, seed = [1.0, 1.5, 2.0, 5.0, 25.0], 3
+    pot = scalarflat.scalar_flat_family(n, float(match.A), float(match.B), domain=(1.0, math.inf))
+    rng = np.random.default_rng(seed)
+    expected = []
+    for t in ts[1:]:
+        for _ in range(2):
+            weights = rng.uniform(0.2, 1.0, n)
+            expected.append(hessian_t_family(pot, t * weights / weights.sum()).G_inv.tobytes())
+    seen = []
+    slogdet = np.linalg.slogdet
+
+    def recording(matrix):
+        seen.append(matrix.tobytes())
+        return slogdet(matrix)
+
+    def no_G(*args):
+        raise AssertionError("delta_check built G")
+
+    monkeypatch.setattr(np.linalg, "slogdet", recording)
+    monkeypatch.setattr(curvature, "hessian_t_family", no_G)
+    assert delta_check(match, ts, seed=seed).passed
+    assert seen == expected
 
 
 def test_delta_is_exact_beyond_float_range_of_its_parts():
