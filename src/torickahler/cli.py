@@ -89,25 +89,22 @@ def emit(report: RunReport, fmt: str = "json", destination: str | None = None) -
         }
         text = json.dumps(payload, indent=2) + "\n"
     elif fmt == "csv":
-        lines = []
         if report.table is not None:
             header, rows = report.table
-            lines.append(",".join(header))
+            lines = [",".join(header)]
             lines.extend(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
+            lines.extend(
+                f"# {r.name}={_jsonable(r.measured)} expected={_jsonable(r.expected)} "
+                f"tolerance={_jsonable(r.tolerance)} status={r.status}"
+                for r in report.results
+                if not isinstance(r.measured, (list, tuple))  # tabular payload already emitted as rows
+            )
         else:
-            lines.append("name,status,measured,expected,tolerance")
+            lines = ["name,status,measured,expected,tolerance"]
             lines.extend(
                 f"{r.name},{r.status},{_jsonable(r.measured)},{_jsonable(r.expected)},{_jsonable(r.tolerance)}"
                 for r in report.results
             )
-        if report.table is not None:
-            for r in report.results:
-                if isinstance(r.measured, (list, tuple)):
-                    continue  # tabular payload already emitted as rows
-                lines.append(
-                    f"# {r.name}={_jsonable(r.measured)} expected={_jsonable(r.expected)} "
-                    f"tolerance={_jsonable(r.tolerance)} status={r.status}"
-                )
         text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -141,6 +138,14 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise DomainError(f"{value} is not a positive integer")
+    return value
+
+
+def tolerance(text: str) -> float:
+    """Argument type for tolerances: a number that is not negative and not NaN."""
+    value = float(text)
+    if not value >= 0:
+        raise DomainError(f"{value} is not a nonnegative tolerance")
     return value
 
 
@@ -219,7 +224,9 @@ def _cmd_derive(args) -> RunReport:
     q_at_1 = match.quotient_value(1.0)
     report.check("Q_at_1", q_at_1, 1.0, 0.0, ok=q_at_1 == 1.0)
     delta = scalarflat.delta_check(match, [1.0, 1.5, 2.0, 5.0, 25.0], seed=args.seed)
-    report.check("delta_positive_and_factorizes", delta.max_det_deviation, 0.0, 1e-10, ok=delta.passed)
+    report.check(
+        "delta_positive_and_factorizes", delta.max_det_deviation, 0.0, scalarflat.DELTA_TOL, ok=delta.passed
+    )
     return report
 
 
@@ -327,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-catalog", help="constant/zero curvature checks for the catalog")
     p.add_argument("--dims", default="2..4", help="dimension range a..b")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=tolerance, default=1e-9)
     p.add_argument("--samples", type=positive_int, default=5, help="random t draws per check")
     common(p)
     p.set_defaults(handler=_cmd_verify_catalog)
@@ -350,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential", default="flat")
     p.add_argument("--dim", type=positive_int, default=2)
     p.add_argument("--samples", type=positive_int, default=20)
-    p.add_argument("--tol-identity", type=float, default=1e-8)
-    p.add_argument("--tol-hessian", type=float, default=1e-5)
+    p.add_argument("--tol-identity", type=tolerance, default=1e-8)
+    p.add_argument("--tol-hessian", type=tolerance, default=1e-5)
     common(p)
     p.set_defaults(handler=_cmd_legendre)
 
@@ -360,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-min", type=float, default=1e2)
     p.add_argument("--u-max", type=float, default=1e6)
     p.add_argument("--samples", type=positive_int, default=32)
-    p.add_argument("--tol", type=float, default=0.1, help="allowed slope mismatch")
+    p.add_argument("--tol", type=tolerance, default=0.1, help="allowed slope mismatch")
     common(p)
     p.set_defaults(handler=_cmd_decay)
 
@@ -385,10 +392,7 @@ def dispatch(argv: Sequence[str]) -> int:
     try:
         report = args.handler(args)
         emit(report, args.format, args.output)
-    except ToricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ToricError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.overall == "pass" else 1

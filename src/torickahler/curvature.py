@@ -320,7 +320,6 @@ def scalar_curvature_abreu(
     g: Callable[[np.ndarray], np.ndarray],
     x: Sequence[float],
     step: float | None = None,
-    hessian_step: float | None = None,
 ) -> float:
     """S = -(1/2) sum_ij d^2 G^ij / dx_i dx_j by finite differences.
 
@@ -331,16 +330,15 @@ def scalar_curvature_abreu(
     per ``g`` call at most (one outer point's stencil if that is larger).
     Every G is checked for degeneracy and inverted, and G^{-1} is
     differentiated on the outer stencil with one Richardson extrapolation
-    over (step, step/2).  The inner Hessian step is wider than the standalone
-    default: the composition is a fourth derivative of g, and a too-small
-    inner step leaves rounding noise that the outer stencil amplifies by
-    1/step^2.  Keep ``x`` more than ``4 * step`` inside the domain.
+    over (step, step/2).  The inner Hessian step, 1.5e-3 (1 + |x|), is wider
+    than the standalone default: the composition is a fourth derivative of g,
+    and a too-small inner step leaves rounding noise that the outer stencil
+    amplifies by 1/step^2.  Keep ``x`` more than ``4 * step`` inside the domain.
     """
     x = np.asarray(x, dtype=float)
     if step is None:
         step = 0.02 * (1.0 + float(np.linalg.norm(x)))
-    if hessian_step is None:
-        hessian_step = 1.5e-3 * (1.0 + float(np.linalg.norm(x)))
+    hessian_step = 1.5e-3 * (1.0 + float(np.linalg.norm(x)))
 
     outer = _stencil_points(x, step)
     G = _in_blocks(
@@ -354,18 +352,13 @@ def scalar_curvature_abreu(
     return -0.5 * float(np.einsum("ijij", D))
 
 
-def extremal_check(
-    pot: TPotential,
-    n: int,
-    t_samples: Sequence[float],
-    tolerance: float | None = None,
-) -> CurvatureReport:
+def extremal_check(pot: TPotential, n: int, t_samples: Sequence[float]) -> CurvatureReport:
     """Least-squares affine fit of S(t) over samples; extremal means tiny residual.
 
     S is evaluated at all samples in one batch of jets.
 
     For radial metrics S depends on x only through t, so affinity in t is the
-    checkable form of "S is an affine function of x".  The default tolerance is
+    checkable form of "S is an affine function of x".  The tolerance is
     scale-free: 1e-6 * (1 + max |S|).
     """
     ts = np.array([float(t) for t in t_samples])
@@ -376,8 +369,7 @@ def extremal_check(
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     residuals = values - design @ coeffs
     max_residual = float(np.max(np.abs(residuals)))
-    if tolerance is None:
-        tolerance = 1e-6 * (1.0 + float(np.max(np.abs(values))))
+    tolerance = 1e-6 * (1.0 + float(np.max(np.abs(values))))
     return CurvatureReport(
         points=tuple(zip(ts.tolist(), values.tolist())),
         fit_intercept=float(coeffs[0]),
@@ -388,9 +380,7 @@ def extremal_check(
     )
 
 
-def legendre_roundtrip(
-    f: RadialKahlerPotential, a: Sequence[float] | np.ndarray, fd_step: float = 1e-4
-) -> LegendreRoundtrip:
+def legendre_roundtrip(f: RadialKahlerPotential, a: Sequence[float] | np.ndarray) -> LegendreRoundtrip:
     """Map log-coordinate points through the Legendre transform and verify them.
 
     Three residuals are reported per point: the moment map
@@ -398,7 +388,7 @@ def legendre_roundtrip(
     a -> f(s(a)); the duality identity f(a) + g(x) = sum a_i x_i; and the
     Hessian of f over a against the inverse Hessian of g at the image point.
     The gradient and the Hessian come from one Richardson stencil
-    (see :func:`hessian_general`) with step ``fd_step * (1 + max |a_i|)``.
+    (see :func:`hessian_general`) with step ``1e-4 * (1 + max |a_i|)``.
 
     ``a`` is one point of shape (n,) or a batch of shape (..., n); see
     :class:`LegendreRoundtrip` for the shapes returned.  Rows are evaluated
@@ -411,7 +401,7 @@ def legendre_roundtrip(
         raise DomainError("a must be a nonempty vector or a batch of them")
     n = a.shape[-1]
     batch = a.shape[:-1]
-    fields = _in_blocks(lambda rows: _roundtrip_rows(f, rows, fd_step), 1 + 4 * n * n, a.reshape(-1, n))
+    fields = _in_blocks(lambda rows: _roundtrip_rows(f, rows), 1 + 4 * n * n, a.reshape(-1, n))
     x, s, t, gradient_residual, duality_gap, hessian_residual = (
         v.reshape(batch + v.shape[1:]) for v in fields
     )
@@ -430,7 +420,7 @@ def legendre_roundtrip(
     )
 
 
-def _roundtrip_rows(f: RadialKahlerPotential, a: np.ndarray, fd_step: float) -> tuple[np.ndarray, ...]:
+def _roundtrip_rows(f: RadialKahlerPotential, a: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`legendre_roundtrip` on the rows of ``a`` (shape (rows, n)): x, s, t and the residuals."""
     n = a.shape[-1]
     e2a = np.exp(2.0 * a)
@@ -445,7 +435,7 @@ def _roundtrip_rows(f: RadialKahlerPotential, a: np.ndarray, fd_step: float) -> 
     x = 2.0 * e2a * f1[:, None]
     t = x.sum(axis=-1)
 
-    h = fd_step * (1.0 + np.max(np.abs(a), axis=-1))
+    h = 1e-4 * (1.0 + np.max(np.abs(a), axis=-1))
     values = radial_jet(f, np.exp(2.0 * _stencil_points(a, h)).sum(axis=-1), 0).value
     grad = (values[:, 1 : 1 + n] - values[:, 1 + n : 1 + 2 * n]) / (2.0 * h[:, None])
     gradient_residual = np.max(np.abs(grad - x), axis=-1)

@@ -24,7 +24,7 @@ have three routes, each with its own role:
 * :func:`torickahler.scalarflat.reconstruct_F`, adaptive quadrature of
   ``F''``, the reference that the Chebyshev route is checked against.
 
-:func:`symplectic_evaluator` is the one assembly of ``g`` from the first two.
+:func:`symplectic_evaluator` assembles ``g`` from the first two.
 
 Every potential evaluator here takes points of shape ``(..., n)`` and returns
 values of shape ``(...)``, so a whole finite-difference stencil is one call; a
@@ -51,7 +51,7 @@ from .errors import (
     NearBoundaryError,
     NonAdmissibleError,
 )
-from .jets import DEFAULT_ORDER, TaylorJet, _elementwise, _same_base, constant, jet_pow, ln_jet, variable
+from .jets import TaylorJet, _elementwise, _same_base, constant, jet_pow, ln_jet, variable
 from .polytope import BOUNDARY_CUTOFF
 
 __all__ = [
@@ -113,7 +113,7 @@ def _smallest(t: float | np.ndarray) -> float:
     return float(t.min()) if isinstance(t, np.ndarray) else t
 
 
-def radial_jet(f: RadialKahlerPotential, s: float | np.ndarray, order: int = DEFAULT_ORDER) -> TaylorJet:
+def radial_jet(f: RadialKahlerPotential, s: float | np.ndarray, order: int) -> TaylorJet:
     """Jet of f at ``s``; an array of s gives one batched jet."""
     s = _as_points(s)
     if not _smallest(s) > 0.0:
@@ -255,7 +255,12 @@ def _family_domain_start(n: int, a: float, b: float) -> float:
     at or below the root.
     """
     if n == 1:
-        return max(0.0, b / (1.0 - a)) if a != 1.0 else 0.0
+        # gap = (1 - a) t - b rises through its root for a < 1, is -b for a = 1, and falls for a > 1.
+        if a < 1.0:
+            return max(0.0, b / (1.0 - a))
+        if a == 1.0 and b < 0.0:
+            return 0.0
+        raise DomainError(f"t - ({a} t + {b}) is positive on no interval (t0, inf)")
     A, B = Fraction(a), Fraction(b)
     if (A <= 0 and B <= 0) or (A > 0 and B < 0 and A**n * (n - 1) ** (n - 1) < n**n * (-B) ** (n - 1)):
         return 0.0
@@ -299,13 +304,16 @@ def scalar_flat_family(
     """The two-parameter family F''(t) = (a t + b) / (t (t^n - a t - b)).
 
     Every member is scalar-flat in dimension ``n`` wherever it is admissible,
-    i.e. wherever ``t^n - a t - b > 0``.  Where ``t^n`` would come near
-    overflow (n ln t > 300) the jet is built from ``s = (a t + b) t^(-n)`` as
-    ``F'' = s / (t (1 - s))``; elsewhere from ``t^n`` itself, since near t = 1
-    the scaled form loses digits to the cancellation in ``1 - s``.  The form
-    is chosen point by point, so a batch may straddle n ln t = 300.  Where
-    ``s`` underflows (n ln t beyond about 708) F'' is returned as 0, but a
-    jet of order one or more raises :class:`DomainError`.
+    i.e. wherever ``t^n - a t - b > 0``.  Without ``domain`` the domain is
+    the interval right of the gap's largest root; a member with none (n = 1
+    with a > 1, or a = 1 and b >= 0) raises :class:`DomainError`.  Where
+    ``t^n`` would come near overflow (n ln t > 300) the jet is built from
+    ``s = (a t + b) t^(-n)`` as ``F'' = s / (t (1 - s))``; elsewhere from
+    ``t^n`` itself, since near t = 1 the scaled form loses digits to the
+    cancellation in ``1 - s``.  The form is chosen point by point, so a batch
+    may straddle n ln t = 300.  Where ``s`` underflows (n ln t beyond about
+    708) F'' is returned as 0, but a jet of order one or more raises
+    :class:`DomainError`.
     """
     if n < 1:
         raise DimensionError("the family needs dimension n >= 1")
@@ -381,7 +389,7 @@ def _check_t(pot: TPotential, t: float | np.ndarray) -> None:
             )
 
 
-def f2_jet(pot: TPotential, t: float | np.ndarray, order: int = 4) -> TaylorJet:
+def f2_jet(pot: TPotential, t: float | np.ndarray, order: int) -> TaylorJet:
     """Jet of F'' at ``t`` to the requested order; an array of t gives one batched jet."""
     t = _as_points(t)
     _check_t(pot, t)
@@ -484,13 +492,16 @@ def _gamma_and_slope(f: RadialKahlerPotential, s: float | np.ndarray) -> tuple:
     return 2.0 * s * f1, slope, scale
 
 
-def kahler_to_t_potential(f: RadialKahlerPotential, t: float, *, max_doublings: int = 200) -> TDual:
+def kahler_to_t_potential(f: RadialKahlerPotential, t: float) -> TDual:
     """Invert gamma(s) = 2 s f'(s) at ``t`` and return (s, F(t), F''(t)).
 
     The root is bracketed (gamma is monotone wherever f is admissible) and
     found by Brent's method to a relative tolerance of 4 eps;
-    :func:`legendre_dual` turns it into F and F''.  Before the search, gamma'
-    is checked at nine evenly spaced probes of the bracket, one batched radial
+    :func:`legendre_dual` turns it into F and F''.  The bracket grows from
+    s = t toward the root, since gamma increases: s doubles while
+    gamma(s) < t, or halves while gamma(s) > t, and a 201st step raises
+    :class:`BracketRangeError`.  Before the search, gamma' is
+    checked at nine evenly spaced probes of the bracket, one batched radial
     jet; the first clearly negative slope raises :class:`NonAdmissibleError`.
     """
     t = float(t)
@@ -504,26 +515,18 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float, *, max_doublings: 
     if slope0 <= 0.0:
         raise NonAdmissibleError("gamma(s) = 2 s f'(s) is not increasing at s = t")
 
-    lo = hi = t
-    glo = ghi = gamma0
-    doublings = 0
-    while ghi < t:
-        hi *= 2.0
-        ghi, slope, scale = _gamma_and_slope(f, hi)
+    up = gamma0 < t
+    s, gamma, doublings = t, gamma0, 0
+    while (gamma < t) if up else (gamma > t):
+        s = 2.0 * s if up else 0.5 * s
+        gamma, slope, scale = _gamma_and_slope(f, s)
         if clearly_negative(slope, scale):
-            raise NonAdmissibleError(f"gamma is not increasing at s = {hi}")
+            raise NonAdmissibleError(f"gamma is not increasing at s = {s}")
         doublings += 1
-        if doublings > max_doublings:
-            raise BracketRangeError(f"no s with gamma(s) >= {t}; t outside the potential's range")
-    doublings = 0
-    while glo > t:
-        lo /= 2.0
-        glo, slope, scale = _gamma_and_slope(f, lo)
-        if clearly_negative(slope, scale):
-            raise NonAdmissibleError(f"gamma is not increasing at s = {lo}")
-        doublings += 1
-        if doublings > max_doublings:
-            raise BracketRangeError(f"no s with gamma(s) <= {t}; t outside the potential's range")
+        if doublings > 200:
+            side = ">=" if up else "<="
+            raise BracketRangeError(f"no s with gamma(s) {side} {t}; t outside the potential's range")
+    lo, hi = (t, s) if up else (s, t)
 
     probes = np.linspace(lo, hi, 9)
     _, slopes, scales = _gamma_and_slope(f, probes)
@@ -571,19 +574,15 @@ def hermitian_metric(f: RadialKahlerPotential, z: Sequence[complex]) -> Hermitia
 # ---------------------------------------------------------------------------
 
 
-def local_t_potential(
-    pot: TPotential,
-    t_lo: float,
-    t_hi: float,
-    tol: float = 1e-12,
-    max_nodes: int = 256,
-) -> Callable[[np.ndarray], np.ndarray]:
+def local_t_potential(pot: TPotential, t_lo: float, t_hi: float) -> Callable[[np.ndarray], np.ndarray]:
     """Fast polynomial stand-in for F on [t_lo, t_hi], gauged F(t_lo) = F'(t_lo) = 0.
 
     F'' is interpolated at Chebyshev nodes and integrated twice exactly; the
-    interpolation is validated against direct F'' values and refined until it
-    is below ``tol``.  Intended for finite-difference work that hits F at many
-    nearby points where per-call quadrature would dominate the runtime.  The
+    interpolant of degree 32, 64, 128 or 256, the first whose error at five
+    probes is within 1e-12 (1 + max |F''|), is kept; if none is,
+    :class:`AccuracyError` is raised.  Intended for finite-difference work
+    that hits F at many nearby points where per-call quadrature would
+    dominate the runtime.  The
     returned callable maps a float or an array of t elementwise and raises
     :class:`DomainError` if any t lies outside the window, rather than
     extrapolate.
@@ -600,20 +599,16 @@ def local_t_potential(
     def f2_scaled(xi: np.ndarray) -> np.ndarray:
         return f2_value(pot, mid + half * np.atleast_1d(xi))
 
-    degree = 32
-    while True:
+    probes = np.array([-0.83, -0.41, 0.07, 0.52, 0.96])
+    for degree in (32, 64, 128, 256):
         coeffs = np.polynomial.chebyshev.chebinterpolate(f2_scaled, degree)
-        probes = np.array([-0.83, -0.41, 0.07, 0.52, 0.96])
         approx = np.polynomial.chebyshev.chebval(probes, coeffs)
         exact = f2_scaled(probes)
         scale = 1.0 + float(np.max(np.abs(exact)))
-        if float(np.max(np.abs(approx - exact))) <= tol * scale:
+        if float(np.max(np.abs(approx - exact))) <= 1e-12 * scale:
             break
-        degree *= 2
-        if degree > max_nodes:
-            raise AccuracyError(
-                f"F'' not resolved on [{t_lo}, {t_hi}] with {max_nodes} Chebyshev nodes"
-            )
+    else:
+        raise AccuracyError(f"F'' not resolved on [{t_lo}, {t_hi}] with 256 Chebyshev nodes")
 
     series = np.polynomial.Chebyshev(coeffs, domain=[t_lo, t_hi])
     antiderivative = series.integ(2, lbnd=t_lo)

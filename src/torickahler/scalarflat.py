@@ -51,6 +51,9 @@ __all__ = [
     "boundary_regularity",
 ]
 
+#: Largest relative error of the factorization that :func:`delta_check` accepts.
+DELTA_TOL = 1e-10
+
 
 def _divide_by_t_minus_1(coeffs: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], Fraction]:
     """Synthetic division by (t - 1); returns (quotient ascending, remainder)."""
@@ -169,14 +172,7 @@ class DeltaCheckReport(NamedTuple):
     witness: float | None
 
 
-def delta_check(
-    match: BoundaryMatch,
-    t_samples: Sequence[float],
-    *,
-    points_per_t: int = 2,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> DeltaCheckReport:
+def delta_check(match: BoundaryMatch, t_samples: Sequence[float], *, seed: int = 0) -> DeltaCheckReport:
     """Positivity of delta on [1, inf) plus the determinant factorization.
 
     delta(t) must be finite and positive at every sample and at t = 1, and at
@@ -184,7 +180,9 @@ def delta_check(
     matched family must equal delta(t) * prod_i l_i(x) (the n coordinate facets
     and the t - 1 facet).  The factorization is compared in log space, where
     the difference is the relative error and neither side underflows however
-    large n is; ``max_det_deviation`` is the largest such log difference.
+    large n is; ``max_det_deviation`` is the largest such log difference, and
+    the check fails once one exceeds ``DELTA_TOL``.  Two seeded random points
+    are drawn at each sampled t > 1.
     """
     ts = sorted(set(float(t) for t in t_samples) | {1.0})
     if min(ts) < 1.0:
@@ -206,14 +204,14 @@ def delta_check(
         if t < 1.0 + 1e-6:
             continue
         log_cofactor = math.log(deltas[t]) + math.log(t - 1.0)
-        for _ in range(points_per_t):
+        for _ in range(2):
             weights = rng.uniform(0.2, 1.0, match.n)
             x = t * weights / weights.sum()
             sign, log_det = np.linalg.slogdet(inverse_hessian_t_family(pot, x))
             factored = log_cofactor + float(np.sum(np.log(x)))
             deviation = abs(float(log_det) - factored) if sign > 0 else math.inf
             max_deviation = max(max_deviation, deviation)
-            if deviation > tol:
+            if deviation > DELTA_TOL:
                 return DeltaCheckReport(False, min_delta, max_deviation, t)
     return DeltaCheckReport(True, min_delta, max_deviation, None)
 

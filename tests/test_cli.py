@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torickahler
+from torickahler import scalarflat
 from torickahler.cli import RunReport, build_parser, dispatch, emit
 
 
@@ -62,6 +63,13 @@ def test_derive_high_dimension(capsys):
     code, out = run(capsys, "derive", "--dim", "300")
     assert code == 0
     assert json.loads(out)["overall"] == "pass"
+
+
+def test_derive_reports_the_delta_tolerance_it_checks(capsys):
+    code, out = run(capsys, "derive", "--dim", "4")
+    results = {r["name"]: r for r in json.loads(out)["results"]}
+    assert code == 0
+    assert results["delta_positive_and_factorizes"]["tolerance"] == scalarflat.DELTA_TOL
 
 
 def test_derive_rejects_other_polytopes(capsys):
@@ -169,6 +177,13 @@ def test_unwritable_destination(capsys):
         ["legendre", "--samples", "0"],
         ["verify-catalog", "--samples", "0"],
         ["verify-catalog", "--dims", "5..1"],
+        ["verify-catalog", "--tol", "nan"],
+        ["verify-catalog", "--tol", "-1"],
+        ["decay", "--dim", "3", "--tol", "nan"],
+        ["legendre", "--tol-identity", "-1"],
+        ["legendre", "--tol-hessian", "nan"],
+        ["admissible", "--potential", "burns_simanca", "--t-range", "1.1..2"],
+        ["curvature", "--potential", "fubini_study", "--dim", "3", "--point", "0.1,0.2"],
     ],
 )
 def test_malformed_input_exits_two(capsys, argv):

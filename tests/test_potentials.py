@@ -6,6 +6,7 @@ import pytest
 
 from torickahler import potentials
 from torickahler.errors import (
+    AccuracyError,
     BracketRangeError,
     DomainError,
     NearBoundaryError,
@@ -32,7 +33,7 @@ from torickahler.potentials import (
     symplectic_evaluator,
 )
 from torickahler.cli import get_potential
-from torickahler.scalarflat import reconstruct_F
+from torickahler.scalarflat import burns_simanca_potential, reconstruct_F
 
 from helpers import central_derivative
 
@@ -186,6 +187,33 @@ def test_kahler_to_t_out_of_range():
     # gamma = s/(1+s) < 1, so t = 1.5 is unreachable.
     with pytest.raises(BracketRangeError):
         kahler_to_t_potential(fubini_study_radial(), 1.5)
+
+
+def _log_radial():
+    """f = s/2 + (1/2) ln s: gamma = s + 1 > 1, so the bracket halves toward s = 0 for t < 1."""
+
+    def jfn(s, order):
+        sj = variable(s, order)
+        return 0.5 * sj + 0.5 * ln_jet(sj)
+
+    return custom_radial(jfn, "s_plus_log")
+
+
+def test_kahler_to_t_downward_bracket_exhausts():
+    with pytest.raises(BracketRangeError, match=r"^no s with gamma\(s\) <= 0.5; t outside"):
+        kahler_to_t_potential(_log_radial(), 0.5)
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.3, 1.0, 2.5, 123.4])
+def test_kahler_to_t_downward_bracket_finds_the_root(monkeypatch, t):
+    # f = s gives gamma = 2 s > t at s = t: the bracket halves, and the root is s = t/2.
+    batches = _record_batched_radial_jets(monkeypatch)
+    result = kahler_to_t_potential(custom_radial(lambda s, order: variable(s, order), "s"), t)
+    assert batches == [np.linspace(t / 2.0, t, 9).tolist()]  # one halving brackets the root
+    assert result.s == t / 2.0
+    assert result.F == t * math.log(0.5) - t
+    assert result.F2 == 0.0
+    assert kahler_to_t_potential(_log_radial(), 1.0 + t).s == pytest.approx(t, rel=1e-12)
 
 
 def test_kahler_to_t_rejects_decreasing_profile():
@@ -465,6 +493,41 @@ def test_local_t_potential_rejects_points_outside_window():
             approx(t)
 
 
+def _recorded_degrees(monkeypatch) -> list:
+    degrees = []
+    original = np.polynomial.chebyshev.chebinterpolate
+
+    def recording(fn, degree):
+        degrees.append(degree)
+        return original(fn, degree)
+
+    monkeypatch.setattr(np.polynomial.chebyshev, "chebinterpolate", recording)
+    return degrees
+
+
+@pytest.mark.parametrize(
+    "t_lo, degrees", [(1.1, [32, 64]), (1.08, [32, 64, 128]), (1.02, [32, 64, 128, 256])]
+)
+def test_local_t_potential_refines_past_32_nodes(monkeypatch, t_lo, degrees):
+    # The pole of Burns-Simanca's F'' at t = 1 needs more nodes the nearer the
+    # window starts.  The accepted degrees come within 3e-13 of F'' (relative),
+    # and at t_lo = 1.08 and 1.02 the last rejected ones miss by 6e-12 and
+    # 8e-12, so these windows pin the 1e-12 threshold.
+    pot = burns_simanca_potential(3)
+    recorded = _recorded_degrees(monkeypatch)
+    approx = local_t_potential(pot, t_lo, 3.0)
+    assert recorded == degrees
+    for t in np.linspace(t_lo, 3.0, 9)[1:]:
+        assert approx(t) == pytest.approx(reconstruct_F(pot, t, anchor=t_lo)[0], abs=1e-12)
+
+
+def test_local_t_potential_refuses_an_unresolved_window(monkeypatch):
+    recorded = _recorded_degrees(monkeypatch)
+    with pytest.raises(AccuracyError, match=r"^F'' not resolved on \[1.001, 3.0\] with 256 Chebyshev nodes$"):
+        local_t_potential(burns_simanca_potential(3), 1.001, 3.0)
+    assert recorded == [32, 64, 128, 256]
+
+
 def test_local_t_potential_needs_an_increasing_window():
     with pytest.raises(DomainError):
         local_t_potential(generalized_burns_potential(), 2.5, 1.5)
@@ -513,3 +576,19 @@ def test_family_domain_decides_root_existence_exactly():
     assert t0 < lowered < t0 + 1e-4
     assert _exact_gap(n, a, b + 1e-9, lowered) <= 0 < _exact_gap(n, a, b + 1e-9, math.nextafter(lowered, 2.0))
     assert scalar_flat_family(3, -1.0, -0.5).domain[0] == 0.0  # gap increasing from gap(0) = 0.5
+
+
+@pytest.mark.parametrize("a, b", [(2.0, -1.0), (1.0, 0.5), (3.0, 0.0), (1.0, 0.0), (1.5, 2.0)])
+def test_first_order_family_without_a_right_half_line_is_refused(a, b):
+    # For n = 1 the gap (1 - a) t - b falls when a > 1 and is the constant -b
+    # when a = 1: no interval (t0, inf) has a positive gap.
+    with pytest.raises(DomainError, match="positive on no interval"):
+        scalar_flat_family(1, a, b)
+
+
+@pytest.mark.parametrize("a, b, start", [(0.5, 0.25, 0.5), (-1.0, -2.0, 0.0), (1.0, -0.5, 0.0), (0.0, 3.0, 3.0)])
+def test_first_order_family_lives_right_of_its_root(a, b, start):
+    pot = scalar_flat_family(1, a, b)
+    assert pot.domain == (start, math.inf)
+    ts = start + np.array([0.1, 1.0, 10.0])
+    np.testing.assert_allclose(f2_value(pot, ts), (a * ts + b) / (ts * ((1.0 - a) * ts - b)), rtol=1e-12)
