@@ -46,7 +46,6 @@ __all__ = [
     "CurvatureReport",
     "LegendreRoundtrip",
     "hessian_t_family",
-    "inverse_hessian_t_family",
     "hessian_general",
     "scalar_curvature_reduced",
     "scalar_curvature_abreu",
@@ -135,17 +134,6 @@ def _t_family_inverse(x: np.ndarray, f2: float | np.ndarray) -> np.ndarray:
     return G_inv
 
 
-def _t_family_f2(pot: TPotential, x: Sequence[float]) -> tuple[np.ndarray, float]:
-    """``x`` as a float vector and the admissible F''(t) at t = sum x_i, after the domain checks."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise DomainError("x must be a nonempty vector")
-    if np.any(x <= 0.0):
-        raise DomainError("x must lie strictly inside the positive orthant")
-    t = float(x.sum())
-    return x, admissible_f2(t, f2_value(pot, t))
-
-
 def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
     """Hessian of (1/2)(sum x_i ln x_i + F(t)) from the closed forms.
 
@@ -156,33 +144,46 @@ def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
     so it has at most one nonpositive eigenvalue, and by the matrix determinant
     lemma det G = (1 + t F'') / prod(2 x_i) > 0 rules that one out.
     """
-    x, f2 = _t_family_f2(pot, x)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise DomainError("x must be a nonempty vector")
+    if np.any(x <= 0.0):
+        raise DomainError("x must lie strictly inside the positive orthant")
+    t = float(x.sum())
+    f2 = admissible_f2(t, f2_value(pot, t))
     G = np.full((x.size, x.size), 0.5 * f2)
     G[np.diag_indices(x.size)] += 0.5 / x
     det_G_inv = (2.0**x.size) * np.prod(x) / (1.0 + x.sum() * f2)
     return HessianEval(x=x, G=G, G_inv=_t_family_inverse(x, f2), det_G_inv=float(det_G_inv), posdef=True)
 
 
-def inverse_hessian_t_family(pot: TPotential, x: Sequence[float]) -> np.ndarray:
-    """G^{-1} of :func:`hessian_t_family` alone, with the same checks, built without G."""
-    x, f2 = _t_family_f2(pot, x)
-    return _t_family_inverse(x, f2)
-
-
-def _stencil_points(x: np.ndarray, h: float | np.ndarray) -> np.ndarray:
-    """The 1 + 4 n^2 points of the second-difference stencil around each centre.
+def _stencil_points(
+    x: np.ndarray, h: float | np.ndarray, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """The 1 + 4 n^2 points of the second-difference stencil around each centre, or its points start..stop.
 
     ``x`` has shape (..., n) and the result (..., 1 + 4 n^2, n): the centre,
     then 2 n^2 points at step h and the same 2 n^2 at step h/2, each block
     ordered +e_i, -e_i (i = 0..n-1), then +e_i+e_j, +e_i-e_j, -e_i+e_j,
     -e_i-e_j over i < j.  Every point is distinct.  ``h`` is one step for
     every centre, or an array of x's batch shape (...) with a step per centre.
+    Each offset has at most two nonzero entries, so a slice of the stencil is
+    built without the rest of it; every point is the same, bit for bit,
+    whatever slice it comes from.
     """
     n = x.shape[-1]
-    eye = np.eye(n)
     i, j = np.triu_indices(n, 1)
-    unit = np.concatenate([eye, -eye, eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]])
-    offsets = np.concatenate([np.zeros((1, n)), unit, unit / 2.0])
+    m, axis = len(i), np.arange(n)
+    first, second = np.concatenate([axis, axis, i, i, i, i]), np.concatenate([axis, axis, j, j, j, j])
+    first_sign = np.repeat([1.0, -1.0, 1.0, 1.0, -1.0, -1.0], [n, n, m, m, m, m])
+    second_sign = np.repeat([0.0, 0.0, 1.0, -1.0, 1.0, -1.0], [n, n, m, m, m, m])
+    k = np.arange(start, 1 + 4 * n * n if stop is None else stop)
+    offsets = np.zeros((k.size, n))
+    rows = np.flatnonzero(k)
+    unit = (k[rows] - 1) % (2 * n * n)
+    scale = np.where(k[rows] > 2 * n * n, 0.5, 1.0)
+    offsets[rows, first[unit]] = first_sign[unit] * scale
+    offsets[rows, second[unit]] += second_sign[unit] * scale
     return x[..., None, :] + offsets * np.expand_dims(h, (-2, -1))
 
 
@@ -393,8 +394,10 @@ def legendre_roundtrip(f: RadialKahlerPotential, a: Sequence[float] | np.ndarray
     ``a`` is one point of shape (n,) or a batch of shape (..., n); see
     :class:`LegendreRoundtrip` for the shapes returned.  Rows are evaluated
     in blocks of at most ``STENCIL_BLOCK`` stencil points, each block with one
-    radial jet at s and one on its stencil.  A row where the profile is not
-    admissible, or whose Hessian is numerically singular, fails the batch.
+    radial jet at s and one on its stencil; a row whose stencil alone is
+    larger has its stencil made and evaluated in chunks under the same bound.
+    A row where the profile is not admissible, or whose Hessian is
+    numerically singular, fails the batch.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 0 or a.size == 0:
@@ -436,7 +439,14 @@ def _roundtrip_rows(f: RadialKahlerPotential, a: np.ndarray) -> tuple[np.ndarray
     t = x.sum(axis=-1)
 
     h = 1e-4 * (1.0 + np.max(np.abs(a), axis=-1))
-    values = radial_jet(f, np.exp(2.0 * _stencil_points(a, h)).sum(axis=-1), 0).value
+    # The stencil of a wide row exceeds the block bound by itself, so its
+    # points are made, summed and evaluated STENCIL_BLOCK at a time.
+    points, chunk = 1 + 4 * n * n, max(1, STENCIL_BLOCK // len(a))
+    stencil_s = (
+        np.exp(2.0 * _stencil_points(a, h, k, min(k + chunk, points))).sum(axis=-1)
+        for k in range(0, points, chunk)
+    )
+    values = np.concatenate([radial_jet(f, s_k, 0).value for s_k in stencil_s], axis=-1)
     grad = (values[:, 1 : 1 + n] - values[:, 1 + n : 1 + 2 * n]) / (2.0 * h[:, None])
     gradient_residual = np.max(np.abs(grad - x), axis=-1)
 

@@ -21,8 +21,8 @@ have three routes, each with its own role:
 * the closed form ``TPotential.value_fn``, where the catalog knows one;
 * :func:`local_t_potential`, a Chebyshev interpolant of ``F''`` integrated
   twice, the fast route for finite-difference work without a closed form;
-* :func:`torickahler.scalarflat.reconstruct_F`, adaptive quadrature of
-  ``F''``, the reference that the Chebyshev route is checked against.
+* :func:`torickahler.scalarflat.reconstruct_F`, Gauss-Legendre quadrature
+  of ``F''``, the reference that the Chebyshev route is checked against.
 
 :func:`symplectic_evaluator` assembles ``g`` from the first two.
 
@@ -41,7 +41,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     AccuracyError,
@@ -83,6 +82,11 @@ __all__ = [
 
 #: Required clearance between an evaluation point and the domain endpoints.
 DOMAIN_MARGIN = 1e-10
+
+#: Most Newton-bisection iterates :func:`kahler_to_t_potential` spends on one
+#: root.  Bisection alone narrows a bracket of 2^200 t to one ulp within about
+#: 260 of them.
+_INVERSION_CAP = 400
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +479,6 @@ def _legendre_relations(s, t, f0, f1, f2) -> TDual:
     return TDual(s=s, F=t * _elementwise(np.log, s / t) - 2.0 * f0, F2=1.0 / (s * gamma_slope) - 1.0 / t)
 
 
-def _gamma(f: RadialKahlerPotential, s: float) -> float:
-    """gamma(s) = 2 s f'(s), read off a first-order radial jet."""
-    return 2.0 * s * radial_jet(f, s, 1).coefficients[1]
-
-
 def _gamma_and_slope(f: RadialKahlerPotential, s: float | np.ndarray) -> tuple:
     """gamma, gamma', and the magnitude scale of the slope's two terms; elementwise for an array of s.
 
@@ -496,13 +495,23 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float) -> TDual:
     """Invert gamma(s) = 2 s f'(s) at ``t`` and return (s, F(t), F''(t)).
 
     The root is bracketed (gamma is monotone wherever f is admissible) and
-    found by Brent's method to a relative tolerance of 4 eps;
+    found by Newton's method safeguarded by bisection;
     :func:`legendre_dual` turns it into F and F''.  The bracket grows from
     s = t toward the root, since gamma increases: s doubles while
     gamma(s) < t, or halves while gamma(s) > t, and a 201st step raises
     :class:`BracketRangeError`.  Before the search, gamma' is
     checked at nine evenly spaced probes of the bracket, one batched radial
     jet; the first clearly negative slope raises :class:`NonAdmissibleError`.
+
+    A bracket endpoint where gamma equals t is returned as it is.  Otherwise
+    each iterate s gives a Newton step from its own second-order jet.  The
+    search stops at the first s with |gamma(s) - t| <= 2 eps t, or with a
+    Newton step of at most 4 eps |s|, and returns s moved by that step, which
+    costs no evaluation and leaves s as near the root as gamma's roundoff
+    allows.  Otherwise the step is taken unless it leaves the bracket or fails
+    to halve the previous step, and the bracket is bisected instead.  With no
+    stop within ``_INVERSION_CAP`` iterates, :class:`AccuracyError` is raised:
+    gamma then never meets t closely enough, as where it jumps over t.
     """
     t = float(t)
     if t <= 0.0:
@@ -534,11 +543,32 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float) -> TDual:
     if failing.size:
         u = probes[failing[0]]
         raise NonAdmissibleError(f"gamma is not invertible on the bracket (slope <= 0 at s = {u})")
+    if gamma == t:
+        return legendre_dual(f, s, t)
 
-    # A negligible xtol leaves the relative tolerance in charge at every scale of s.
-    fp = np.finfo(float)
-    s = brentq(lambda u: _gamma(f, u) - t, lo, hi, xtol=fp.tiny, rtol=4.0 * fp.eps)
-    return legendre_dual(f, s, t)
+    # gamma(lo) < t < gamma(hi) from here on.
+    eps = float(np.finfo(float).eps)
+    step = hi - lo
+    s = lo + 0.5 * step
+    for _ in range(_INVERSION_CAP):
+        gamma, slope, _ = _gamma_and_slope(f, s)
+        residual = gamma - t
+        newton = residual / slope if slope > 0.0 else math.inf
+        if abs(residual) <= 2.0 * eps * t or abs(newton) <= 4.0 * eps * abs(s):
+            return legendre_dual(f, s - newton if slope > 0.0 else s, t)
+        if residual < 0.0:
+            lo = s
+        else:
+            hi = s
+        if lo < s - newton < hi and abs(newton) <= 0.5 * abs(step):
+            step, s = newton, s - newton
+        else:
+            step = 0.5 * (hi - lo)
+            s = lo + step
+    raise AccuracyError(
+        f"gamma(s) = {t} not met within {_INVERSION_CAP} Newton-bisection iterates; "
+        f"the last bracket was [{lo}, {hi}]"
+    )
 
 
 # ---------------------------------------------------------------------------

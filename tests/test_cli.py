@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torickahler
-from torickahler import scalarflat
+from torickahler import curvature, scalarflat
 from torickahler.cli import RunReport, build_parser, dispatch, emit
 
 
@@ -248,6 +249,41 @@ def test_module_entry_point_runs_without_warnings():
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runtime_imports_no_scipy():
+    # The package and its CLI run on numpy alone; scipy costs most of an
+    # interpreter's start-up, so no import path may pull it in.
+    src = str(Path(torickahler.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, torickahler, torickahler.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_legendre_report_does_not_depend_on_the_stencil_chunk(monkeypatch, tmp_path, dim):
+    # A stencil bound of 5 points splits every row's 1 + 4 n^2 stencil into
+    # chunks; each point's sum and jet are the same, so the report is too.
+    argv = ["legendre", "--potential", "fubini_study", "--dim", str(dim), "--seed", "4"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(argv + ["--output", str(tmp_path / "whole.json")]) == 0
+        monkeypatch.setattr(curvature, "STENCIL_BLOCK", 5)
+        sizes = []
+        original = curvature.radial_jet
+
+        def recording(f, s, order):
+            sizes.append(np.size(s))
+            return original(f, s, order)
+
+        monkeypatch.setattr(curvature, "radial_jet", recording)
+        assert dispatch(argv + ["--output", str(tmp_path / "chunked.json")]) == 0
+    assert max(sizes) <= 5
+    assert (tmp_path / "chunked.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
 
 def test_unknown_subcommand(capsys):

@@ -575,6 +575,33 @@ def test_legendre_roundtrip_evaluates_rows_in_blocks(monkeypatch):
             assert np.array_equal(getattr(batch, name)[k], getattr(one, name)), name
 
 
+def test_legendre_roundtrip_chunks_a_wide_stencil(monkeypatch):
+    # n = 50: one row's stencil has 1 + 4 n^2 = 10,001 points, more than
+    # STENCIL_BLOCK, so it is summed and evaluated in chunks under the bound.
+    calls = _count_radial_jets(monkeypatch)
+    a = np.random.default_rng(17).uniform(-0.8, 0.8, 50)
+    result = legendre_roundtrip(fubini_study_radial(), a)
+    assert calls[0] == (1,)
+    assert sum(math.prod(shape) for shape in calls[1:]) == 1 + 4 * 50**2
+    assert max(math.prod(shape) for shape in calls[1:]) <= curvature.STENCIL_BLOCK
+    assert result.hessian_residual < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stencil_slices_match_the_whole_stencil(n):
+    # The stencil as a dense table of unit offsets, bit for bit what any slice gives.
+    x = np.random.default_rng(18).uniform(0.1, 1.0, (2, n))
+    h = np.array([1e-3, 2e-3])
+    eye = np.eye(n)
+    i, j = np.triu_indices(n, 1)
+    unit = np.concatenate([eye, -eye, eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]])
+    offsets = np.concatenate([np.zeros((1, n)), unit, unit / 2.0])
+    whole = x[:, None, :] + offsets * h[:, None, None]
+    assert np.array_equal(curvature._stencil_points(x, h), whole)
+    parts = [curvature._stencil_points(x, h, k, min(k + 3, len(offsets))) for k in range(0, len(offsets), 3)]
+    assert np.array_equal(np.concatenate(parts, axis=1), whole)
+
+
 def test_one_bad_row_fails_the_whole_roundtrip_batch():
     # f = s - s^2/10 has f' + s f'' = 1 - 2s/5 > 0 only for s < 2.5.
     def jet(s, order):

@@ -12,7 +12,7 @@ from torickahler.errors import (
     NearBoundaryError,
     NonAdmissibleError,
 )
-from torickahler.jets import derivative, ln_jet, variable
+from torickahler.jets import derivative, jet_pow, ln_jet, variable
 from torickahler.potentials import (
     admissibility,
     custom_potential,
@@ -214,6 +214,73 @@ def test_kahler_to_t_downward_bracket_finds_the_root(monkeypatch, t):
     assert result.F == t * math.log(0.5) - t
     assert result.F2 == 0.0
     assert kahler_to_t_potential(_log_radial(), 1.0 + t).s == pytest.approx(t, rel=1e-12)
+
+
+def _record_gamma_calls(monkeypatch) -> list:
+    """Each _gamma_and_slope call, recorded as True for the batched probe call and False otherwise."""
+    calls = []
+    original = potentials._gamma_and_slope
+
+    def recording(f, s):
+        calls.append(isinstance(s, np.ndarray))
+        return original(f, s)
+
+    monkeypatch.setattr(potentials, "_gamma_and_slope", recording)
+    return calls
+
+
+def test_kahler_to_t_newton_bisection_on_fubini_study(monkeypatch):
+    # gamma(s) = s/(1+s) has the inverse s = t/(1-t).  An error of eps in t
+    # moves s by eps/(1-t) relative, so the closed form is met to 4 eps
+    # relative times that condition number; gamma(s), evaluated exactly,
+    # meets t to the stopping tolerance 2 eps t.  After the bracket and its
+    # probes, no t takes more than 8 Newton-bisection iterates.
+    eps = np.finfo(float).eps
+    calls = _record_gamma_calls(monkeypatch)
+    f = fubini_study_radial()
+    for t in np.random.default_rng(2026).uniform(0.05, 0.95, 200):
+        t = float(t)
+        calls.clear()
+        s = kahler_to_t_potential(f, t).s
+        assert abs(s - t / (1.0 - t)) <= 4.0 * eps * s / (1.0 - t)
+        gamma = Fraction(s) / (1 + Fraction(s))
+        assert abs(gamma - Fraction(t)) <= 2.0 * eps * t
+        assert calls.count(True) == 1
+        assert len(calls) - calls.index(True) - 1 <= 8
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0, 3.0, 10.0])
+def test_kahler_to_t_newton_safeguard_on_a_steep_profile(monkeypatch, t):
+    # f = s^50/100: gamma = s^50, root t^(1/50).  From the bracket's midpoint,
+    # plain Newton creeps toward the root by about 1/50 of s per step (86
+    # iterates at t = 10); bisecting whenever a step fails to halve the one
+    # before keeps it under 20.  gamma's roundoff, about 50 eps, never lets
+    # |gamma - t| reach 2 eps t: the Newton-step stop ends the search.
+    calls = _record_gamma_calls(monkeypatch)
+    steep = custom_radial(lambda s, order: 0.01 * jet_pow(variable(s, order), 50), "steep")
+    s = kahler_to_t_potential(steep, t).s
+    assert s == pytest.approx(t ** (1 / 50), rel=4 * np.finfo(float).eps, abs=0.0)
+    assert len(calls) - calls.index(True) - 1 <= 20
+
+
+def _jump_radial():
+    """f = s/2 below s = 1 and s - 1/2 above it: gamma jumps from 1 to 2 at s = 1."""
+
+    def jfn(s, order):
+        slope = np.where(np.asarray(s) < 1.0, 0.5, 1.0)
+        return (slope if slope.ndim else float(slope)) * variable(s, order)
+
+    return custom_radial(jfn, "jump")
+
+
+def test_kahler_to_t_refuses_a_root_it_cannot_reach(monkeypatch):
+    # gamma increases but skips t = 1.5: the bracket [0.75, 1.5] closes on the
+    # jump at s = 1 without |gamma - t| ever falling to 2 eps t, and every
+    # Newton step leaves the bracket, so the iterate cap is reached.
+    calls = _record_gamma_calls(monkeypatch)
+    with pytest.raises(AccuracyError, match=r"^gamma\(s\) = 1.5 not met within 400 Newton-bisection iterates"):
+        kahler_to_t_potential(_jump_radial(), 1.5)
+    assert len(calls) - calls.index(True) - 1 == potentials._INVERSION_CAP
 
 
 def test_kahler_to_t_rejects_decreasing_profile():

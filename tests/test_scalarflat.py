@@ -200,10 +200,26 @@ def test_delta_check_fails_for_scaled_quotient(n):
     assert report.max_det_deviation == pytest.approx(math.log1p(1e-6), rel=1e-4)
 
 
+def test_delta_check_reports_the_first_failure():
+    # Scaling Q's leading coefficient by 1 + 1e-6 puts a relative error of
+    # 1e-6 t^2 / Q(t) into delta at n = 3, larger at t = 25 than at t = 1.5.
+    # The report names the first sampled t, with the deviation found up to
+    # there: log(Q_scaled(1.5) / Q(1.5)), not the larger one at t = 25.
+    match = solve_boundary_coefficients(3)
+    leading = match.quotient[-1] * Fraction(1_000_001, 1_000_000)
+    scaled = dataclasses.replace(match, quotient=match.quotient[:-1] + (leading,))
+    report = delta_check(scaled, [1.0, 1.5, 2.0, 5.0, 25.0])
+    assert not report.passed
+    assert report.witness == 1.5
+    expected = math.log(scaled.quotient_value(1.5) / match.quotient_value(1.5))
+    assert report.max_det_deviation == pytest.approx(expected, rel=1e-3)
+
+
 @pytest.mark.parametrize("n", (2, 3, 12, 50, 200))
 def test_delta_check_builds_only_the_inverse_hessian(monkeypatch, n):
-    # slogdet must see, bit for bit, the G^{-1} of hessian_t_family at the
-    # same seeded points, and hessian_t_family, which builds G, must not run.
+    # One slogdet call must see, bit for bit, the stack of the G^{-1} of
+    # hessian_t_family at the same seeded points, two per sampled t in order,
+    # and hessian_t_family, which builds G, must not run.
     match = solve_boundary_coefficients(n)
     ts, seed = [1.0, 1.5, 2.0, 5.0, 25.0], 3
     pot = scalarflat.scalar_flat_family(n, float(match.A), float(match.B), domain=(1.0, math.inf))
@@ -212,7 +228,8 @@ def test_delta_check_builds_only_the_inverse_hessian(monkeypatch, n):
     for t in ts[1:]:
         for _ in range(2):
             weights = rng.uniform(0.2, 1.0, n)
-            expected.append(hessian_t_family(pot, t * weights / weights.sum()).G_inv.tobytes())
+            expected.append(hessian_t_family(pot, t * weights / weights.sum()).G_inv)
+    expected = [np.stack(expected).tobytes()]
     seen = []
     slogdet = np.linalg.slogdet
 
@@ -270,6 +287,48 @@ def test_reconstruct_first_derivative():
         assert reconstruct_F(bs, t)[1] == pytest.approx(fd, abs=1e-8)
 
 
+@pytest.mark.parametrize("order", [32, 64, 128, 256, 512])
+def test_gauss_legendre_rule(order):
+    # Nodes are numpy's to roundoff; the rule integrates x^k exactly for k < 2 order.
+    nodes, weights = scalarflat._gauss_legendre(order)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    reference, _ = np.polynomial.legendre.leggauss(order)
+    assert np.max(np.abs(nodes - reference)) <= 4e-16
+    assert abs(weights.sum() - 2.0) <= 1e-14
+    for k in (2, order // 2, 2 * order - 2):
+        assert float(weights @ nodes**k) == pytest.approx(2.0 / (k + 1), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("anchor, t", [(1.02, 1.5), (1.02, 3.0), (1.02, 7.3), (2.0, 1.3), (1.5, 25.0)])
+def test_reconstruct_matches_mpmath(n, anchor, t):
+    # An mpmath quadrature of the same F'' is the reference; anchor 1.02 sits
+    # 0.02 from the pole at t = 1, where F'' is largest.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    A, B = n - 1, 2 - n
+    f2 = lambda x: (A * x + B) / (x * (x**n - A * x - B))  # noqa: E731
+    T = mpmath.mpf(t)
+    value = mpmath.quad(lambda x: (T - x) * f2(x), [anchor, t])
+    slope = mpmath.quad(f2, [anchor, t])
+    F, dF = reconstruct_F(burns_simanca_potential(n), t, anchor=anchor)
+    assert abs(F - value) <= 1e-12 * (1.0 + abs(value))
+    assert abs(dF - slope) <= 1e-12 * (1.0 + abs(slope))
+
+
+def test_reconstruct_makes_one_batched_F2_call_per_rule(monkeypatch):
+    sizes = []
+
+    def recording(pot, t):
+        sizes.append(np.shape(t))
+        return f2_value(pot, t)
+
+    monkeypatch.setattr(scalarflat, "f2_value", recording)
+    reconstruct_F(burns_simanca_potential(3), 1.6, anchor=1.1)
+    assert sizes[:2] == [(32,), (64,)]
+    assert sizes == [(order,) for order in scalarflat._QUADRATURE_ORDERS[: len(sizes)]]
+
+
 def test_reconstruct_flat_at_anchor():
     from torickahler.potentials import flat_potential
 
@@ -308,7 +367,7 @@ def test_boundary_regularity_rejects_t_below_one():
 
 def test_reconstruct_reports_nonconvergence():
     wild = custom_potential(
-        lambda t, order: constant(math.sin(3.0e7 * t) / t, base=t, order=order),
+        lambda t, order: constant(np.sin(3.0e7 * t) / t, base=t, order=order),
         (0.1, math.inf),
         label="oscillatory",
     )
