@@ -27,7 +27,6 @@ from .polytope import (
     build_standard,
     canonical_potential,
     facet_values,
-    is_interior,
 )
 from .potentials import (
     RadialKahlerPotential,
@@ -68,6 +67,6 @@ from .scalarflat import (
     reconstruct_F,
     solve_boundary_coefficients,
 )
-from .asymptotics import DecayReport, MetricBlocks, chart_deviation, decay_scan, flat_chart, metric_blocks
+from .asymptotics import DecayReport, chart_deviation, decay_scan
 
 __version__ = "0.1.0"

@@ -1,11 +1,12 @@
-"""Full metric blocks, the flat chart at infinity, and the decay-rate scan.
+"""Distance from the euclidean metric in the flat chart, and the decay-rate scan.
 
 In action-angle coordinates a radial-family metric is the block matrix
-``h = diag(G, G^{-1})`` with compatible complex structure
-``J = [[0, -G^{-1}], [G, 0]]``.  The flat chart
+``h = diag(G, G^{-1})``, G the Hessian of the symplectic potential
+(:func:`~torickahler.curvature.hessian_t_family`).  The flat chart
 ``lambda_i = sqrt(2 x_i) cos y_i, mu_i = sqrt(2 x_i) sin y_i`` turns the
-euclidean metric into the identity, so the operator-norm distance of the
-transformed ``h`` from the identity measures how fast a metric flattens out.
+euclidean metric into the identity, so the operator-norm distance of ``h``,
+carried through the chart's Jacobian, from the identity measures how fast a
+metric flattens out (:func:`chart_deviation`).
 For the scalar-flat blow-up metric that deviation falls off like
 ``(n-1) u^(1-n)`` in the squared radius ``u``, and :func:`decay_scan` fits the
 exponent and reads off the coefficient.
@@ -20,28 +21,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DecayFitError, DomainError
-from .curvature import HessianEval, _in_blocks, hessian_t_family
+# perfbench/tracing.py wraps ``asymptotics.hessian_t_family`` by name, so it stays importable here.
+from .curvature import _in_blocks, hessian_t_family  # noqa: F401
 from .potentials import TPotential, admissible_f2, f2_value
 from .scalarflat import burns_simanca_potential
 
 __all__ = [
-    "MetricBlocks",
     "DecayReport",
-    "metric_blocks",
-    "flat_chart",
     "chart_deviation",
     "decay_scan",
 ]
-
-
-@dataclass(frozen=True)
-class MetricBlocks:
-    """Metric and complex-structure blocks at one action point."""
-
-    x: np.ndarray
-    hessian: HessianEval
-    h: np.ndarray
-    J: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -63,31 +52,6 @@ class DecayReport:
         us = [u for u, _ in self.samples]
         if any(b <= a for a, b in zip(us, us[1:])):
             raise ValueError("scan points must be strictly increasing in u")
-
-
-def metric_blocks(pot: TPotential, x: Sequence[float]) -> MetricBlocks:
-    """h = diag(G, G^{-1}) and J = [[0, -G^{-1}], [G, 0]] at an interior point."""
-    hess = hessian_t_family(pot, x)
-    n = hess.x.size
-    h = np.zeros((2 * n, 2 * n))
-    h[:n, :n] = hess.G
-    h[n:, n:] = hess.G_inv
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = -hess.G_inv
-    J[n:, :n] = hess.G
-    return MetricBlocks(x=hess.x, hessian=hess, h=h, J=J)
-
-
-def flat_chart(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda, mu) = (sqrt(2x) cos y, sqrt(2x) sin y); needs x >= 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DomainError("x and y must have the same length")
-    if np.any(x < 0.0):
-        raise DomainError("the chart needs x >= 0")
-    r = np.sqrt(2.0 * x)
-    return r * np.cos(y), r * np.sin(y)
 
 
 def _chart_jacobian_inverse(x: np.ndarray, y: np.ndarray) -> np.ndarray:

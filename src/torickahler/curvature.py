@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DegeneratePotentialError, DomainError, NonAdmissibleError
 from .potentials import (
+    _TINY,
     RadialKahlerPotential,
     TPotential,
     admissible_f2,
@@ -58,9 +59,6 @@ __all__ = [
 #: :func:`legendre_roundtrip` and :func:`~torickahler.asymptotics.chart_deviation`
 #: evaluate their rows in blocks under the same bound (see :func:`_in_blocks`).
 STENCIL_BLOCK = 8192
-
-#: The smallest normal float; below it a value has lost bits to underflow.
-_TINY = float(np.finfo(float).tiny)
 
 
 def _in_blocks(fn: Callable, per_row: int, *rows: np.ndarray):

@@ -24,7 +24,6 @@ __all__ = [
     "DelzantPolytope",
     "build_standard",
     "facet_values",
-    "is_interior",
     "canonical_potential",
 ]
 
@@ -102,10 +101,6 @@ def facet_values(poly: DelzantPolytope, x: Sequence[float] | np.ndarray) -> np.n
     All positive means interior.
     """
     return np.stack([facet(x) for facet in poly.facets], axis=-1)
-
-
-def is_interior(poly: DelzantPolytope, x: Sequence[float] | np.ndarray, cutoff: float = 0.0) -> np.ndarray:
-    return np.all(facet_values(poly, x) > cutoff, axis=-1)
 
 
 def canonical_potential(poly: DelzantPolytope, x: Sequence[float] | np.ndarray) -> np.ndarray:

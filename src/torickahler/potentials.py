@@ -50,7 +50,7 @@ from .errors import (
     NearBoundaryError,
     NonAdmissibleError,
 )
-from .jets import TaylorJet, _elementwise, _same_base, constant, jet_pow, ln_jet, variable
+from .jets import TaylorJet, _any, _elementwise, _same_base, constant, jet_pow, ln_jet, variable
 from .polytope import BOUNDARY_CUTOFF
 
 __all__ = [
@@ -87,6 +87,13 @@ DOMAIN_MARGIN = 1e-10
 #: root.  Bisection alone narrows a bracket of 2^200 t to one ulp within about
 #: 260 of them.
 _INVERSION_CAP = 400
+
+#: The smallest normal float; below it a value has lost bits to underflow.
+_TINY = float(np.finfo(float).tiny)
+
+#: Past 2^_POW_CAP, _scaled_pow rescales a power of t; two such factors times a
+#: binomial of up to 2^120 (order <= 6, n < 2^20) stay below the float maximum.
+_POW_CAP = 400
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +305,46 @@ def _family_domain_start(n: int, a: float, b: float) -> float:
             lo = mid
 
 
+def _ldexp(jet: TaylorJet, e: int | np.ndarray) -> TaylorJet:
+    """The jet times 2^e (an int, or an int array for a batch), exact while coefficients stay normal."""
+    if isinstance(jet.base, np.ndarray):
+        return TaylorJet(jet.base, tuple(np.ldexp(c, e) for c in jet.coefficients))
+    return TaylorJet(jet.base, tuple(math.ldexp(c, e) for c in jet.coefficients))
+
+
+def _scaled_pow(tj: TaylorJet, n: int) -> tuple[TaylorJet, int | np.ndarray]:
+    """``(p, e)`` with ``t^n = p 2^e`` for the jet ``tj`` of t and n >= 1.
+
+    This is :func:`jet_pow`'s repeated squaring, except that every factor and
+    product whose value passes 2^_POW_CAP is brought into [1, 2) by a power of
+    two, and so is ``p`` wherever e > 0.  That is exact, so ``p`` has the bits
+    of ``jet_pow(tj, n) 2^-e`` wherever those are finite, and no partial power
+    overflows at any n and t.  Where every t^n is at most 2^_POW_CAP nothing
+    passes the cap, and the loop is skipped for ``(jet_pow(tj, n), 0)``.
+    """
+    t = tj.base
+    if (float(t.max()) if isinstance(t, np.ndarray) else t) <= 2.0 ** (_POW_CAP / n):
+        return jet_pow(tj, n), 0
+
+    def rescale(jet: TaylorJet, e, where=None) -> tuple[TaylorJet, int | np.ndarray]:
+        v = jet.value
+        where = v > 2.0**_POW_CAP if where is None else where
+        if isinstance(v, np.ndarray):
+            shift = np.where(where, np.frexp(v)[1] - 1, 0)
+        else:
+            shift = (math.frexp(v)[1] - 1) * where
+        return (_ldexp(jet, -shift), e + shift) if _any(shift) else (jet, e)
+
+    (square, e_square), result = rescale(tj, 0), None
+    while True:
+        if n & 1:
+            result, e = (square, e_square) if result is None else rescale(result * square, e + e_square)
+        n >>= 1
+        if not n:  # a scaled t^n ends in [1, 2): t times it is finite below t = 2^1023
+            return rescale(result, e, e != 0)
+        square, e_square = rescale(square * square, 2 * e_square)
+
+
 def scalar_flat_family(
     n: int,
     a: float,
@@ -310,14 +357,16 @@ def scalar_flat_family(
     Every member is scalar-flat in dimension ``n`` wherever it is admissible,
     i.e. wherever ``t^n - a t - b > 0``.  Without ``domain`` the domain is
     the interval right of the gap's largest root; a member with none (n = 1
-    with a > 1, or a = 1 and b >= 0) raises :class:`DomainError`.  Where
-    ``t^n`` would come near overflow (n ln t > 300) the jet is built from
-    ``s = (a t + b) t^(-n)`` as ``F'' = s / (t (1 - s))``; elsewhere from
-    ``t^n`` itself, since near t = 1 the scaled form loses digits to the
-    cancellation in ``1 - s``.  The form is chosen point by point, so a batch
-    may straddle n ln t = 300.  Where ``s`` underflows (n ln t beyond about
-    708) F'' is returned as 0, but a jet of order one or more raises
-    :class:`DomainError`.
+    with a > 1, or a = 1 and b >= 0) raises :class:`DomainError`.
+
+    The jet is ``numer / (t (t^n - numer))`` with ``numer = a t + b``, one
+    formula at every t.  Where t^n passes 2^400, ``t^n`` and ``numer`` are
+    divided by the same power of two (:func:`_scaled_pow`): the quotient
+    keeps the unscaled formula's bits wherever those are finite, nothing
+    overflows, and as the scaled t^n is at least 1, the scaled ``numer`` is
+    at least t F''.  Where F'' is subnormal its value is returned, but a jet
+    of order one or more raises :class:`DomainError` unless a t + b = 0 (or
+    t^n <= 2^400, where that needs |a t + b| < 2^-221).
     """
     if n < 1:
         raise DimensionError("the family needs dimension n >= 1")
@@ -326,39 +375,25 @@ def scalar_flat_family(
     if domain is None:
         domain = (_family_domain_start(n, a, b), math.inf)
 
-    def member(t: float | np.ndarray, order: int, scaled: bool) -> TaylorJet:
+    def jfn(t: float | np.ndarray, order: int) -> TaylorJet:
         tj = variable(t, order)
+        power, e = _scaled_pow(tj, n)
         numer = a * tj + b
-        if scaled:
-            numer = numer * jet_pow(1.0 / tj, n)
-            # Where (a t + b) t^(-n) underflows, F'' = 0 is still its value to
-            # within the smallest normal float, but its derivatives are lost.
-            lost = (abs(numer.value) < np.finfo(float).tiny) & (a * t + b != 0.0)
-            if order and np.any(lost):
-                bad = t[lost][0] if isinstance(t, np.ndarray) else t
-                raise DomainError(f"F'' underflows at t={bad}; its derivatives are not representable")
-            gap = 1.0 - numer
-        else:
-            gap = jet_pow(tj, n) - numer
+        if _any(e):
+            numer = _ldexp(numer, -e)
+        gap = power - numer
         if not _smallest(gap.value) > 0.0:
             bad = t[np.argmin(gap.value)] if isinstance(t, np.ndarray) else t
             raise DomainError(f"t^{n} - ({a} t + {b}) must be positive; t={bad} is outside")
-        return numer / (tj * gap)
-
-    def jfn(t: float | np.ndarray, order: int) -> TaylorJet:
-        if not isinstance(t, np.ndarray):
-            return member(t, order, n * math.log(t) > 300.0)
-        scaled = n * np.log(t) > 300.0
-        if scaled.all() or not scaled.any():
-            return member(t, order, bool(scaled.all()))
-        # The batch straddles n ln t = 300: each side in its own form, then merged.
-        high, low = member(t[scaled], order, True), member(t[~scaled], order, False)
-        coeffs = []
-        for c_high, c_low in zip(high.coefficients, low.coefficients):
-            c = np.empty(t.shape)
-            c[scaled], c[~scaled] = c_high, c_low
-            coeffs.append(c)
-        return TaylorJet(t, tuple(coeffs))
+        f2 = numer / (tj * gap)
+        # With e = 0, t and t^n are at most 2^400, so F'' is subnormal only
+        # where |a t + b| < 2^-221; the refusal checks the scaled points.
+        if order and _any(e):
+            lost = (abs(f2.value) < _TINY) & (a * t + b != 0.0)
+            if _any(lost):
+                bad = t[lost][0] if isinstance(t, np.ndarray) else t
+                raise DomainError(f"F'' underflows at t={bad}; its derivatives are not representable")
+        return f2
 
     return TPotential(label, domain, jfn)
 

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from torickahler import potentials
-from torickahler.asymptotics import (
-    chart_deviation,
-    decay_scan,
-    flat_chart,
-    metric_blocks,
-)
-from torickahler.curvature import STENCIL_BLOCK
+from torickahler.asymptotics import chart_deviation, decay_scan
+from torickahler.curvature import STENCIL_BLOCK, hessian_t_family
 from torickahler.errors import DecayFitError, DomainError, NonAdmissibleError
 from torickahler.jets import constant, variable
 from torickahler.potentials import (
@@ -25,46 +20,22 @@ from torickahler.scalarflat import burns_simanca_potential
 
 
 # ---------------------------------------------------------------------------
-# Metric blocks and the complex structure
+# The closed-form blocks G and G^{-1} of h = diag(G, G^{-1})
 # ---------------------------------------------------------------------------
 
 
 def test_flat_blocks_are_identity():
-    blocks = metric_blocks(flat_potential(), [0.5, 0.5])
-    assert np.allclose(blocks.h, np.eye(4), atol=1e-15)
-
-
-def test_complex_structure_squares_to_minus_identity():
-    rng = np.random.default_rng(0)
-    pots = [flat_potential(), fubini_study_potential(), generalized_burns_potential()]
-    for pot in pots:
-        for _ in range(5):
-            n = int(rng.integers(1, 4))
-            lo, hi = pot.domain
-            t = rng.uniform(lo + 0.2, min(hi - 0.05, lo + 3.0))
-            w = rng.uniform(0.3, 1.0, n)
-            x = t * w / w.sum()
-            blocks = metric_blocks(pot, x)
-            assert np.allclose(blocks.J @ blocks.J, -np.eye(2 * n), atol=1e-10)
+    hess = hessian_t_family(flat_potential(), [0.5, 0.5])
+    assert np.allclose(hess.G, np.eye(2), atol=1e-15)
+    assert np.allclose(hess.G_inv, np.eye(2), atol=1e-15)
 
 
 def test_burns_simanca_lower_right_block():
     # n=2 at (1,1): t=2, F''=1/2, so diagonal 2*1*(1+0.5)/2 = 1.5, off-diagonal
     # -2*0.5*1*1/2 = -0.5.
-    blocks = metric_blocks(burns_simanca_potential(2), [1.0, 1.0])
+    hess = hessian_t_family(burns_simanca_potential(2), [1.0, 1.0])
     expected = np.array([[1.5, -0.5], [-0.5, 1.5]])
-    assert np.allclose(blocks.h[2:, 2:], expected, atol=1e-13)
-    assert np.allclose(blocks.hessian.G_inv, expected, atol=1e-13)
-
-
-def test_metric_is_symplectic_form_times_J():
-    # With Omega pairing dx against dy, h = Omega J reproduces diag(G, G^{-1}).
-    blocks = metric_blocks(generalized_burns_potential(), [0.8, 0.9])
-    n = 2
-    omega = np.zeros((2 * n, 2 * n))
-    omega[:n, n:] = np.eye(n)
-    omega[n:, :n] = -np.eye(n)
-    assert np.allclose(blocks.h, omega @ blocks.J, atol=1e-12)
+    assert np.allclose(hess.G_inv, expected, atol=1e-13)
 
 
 def test_hessian_splitting_diag_plus_rank_one():
@@ -74,10 +45,10 @@ def test_hessian_splitting_diag_plus_rank_one():
         t = rng.uniform(1.3, 5.0)
         w = rng.uniform(0.3, 1.0, 3)
         x = t * w / w.sum()
-        blocks = metric_blocks(pot, x)
+        hess = hessian_t_family(pot, x)
         f2 = f2_value(pot, float(x.sum()))
         expected = np.diag(0.5 / x) + 0.5 * f2 * np.ones((3, 3))
-        assert np.array_equal(blocks.hessian.G, expected)
+        assert np.array_equal(hess.G, expected)
 
 
 def test_inverse_splitting_matches_closed_form():
@@ -93,42 +64,7 @@ def test_inverse_splitting_matches_closed_form():
             t = float(x.sum())
             C = t ** (-n) * (t**n - (n - 1) * t + n - 2) * np.diag(2.0 * x)
             D = 2.0 * t ** (-n - 1) * ((n - 1) * t + 2 - n) * (np.diag(t * x) - np.outer(x, x))
-            blocks = metric_blocks(pot, x)
-            assert np.allclose(blocks.hessian.G_inv, C + D, atol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# Flat chart
-# ---------------------------------------------------------------------------
-
-
-def test_flat_chart_basic_point():
-    lam, mu = flat_chart([0.5, 0.5], [0.0, 0.0])
-    assert np.allclose(lam, [1.0, 1.0])
-    assert np.allclose(mu, [0.0, 0.0])
-
-
-def test_flat_chart_recovers_t():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        x = rng.uniform(0.0, 3.0, n)
-        y = rng.uniform(-math.pi, math.pi, n)
-        lam, mu = flat_chart(x, y)
-        u = 0.5 * float(np.sum(lam**2 + mu**2))
-        assert u == pytest.approx(float(np.sum(x)), abs=1e-12)
-
-
-def test_flat_chart_origin():
-    lam, mu = flat_chart([0.0], [0.3])
-    assert lam[0] == 0.0 and mu[0] == 0.0
-
-
-def test_flat_chart_rejects_negative_x():
-    with pytest.raises(DomainError):
-        flat_chart([-0.1], [0.0])
-    with pytest.raises(DomainError):
-        flat_chart([0.1, 0.2], [0.0])
+            assert np.allclose(hessian_t_family(pot, x).G_inv, C + D, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,16 @@ def test_curvature_reduced_beyond_float_range_of_t_power(capsys):
         assert abs(r["measured"]) <= 64 * eps * 300 * 301 * f2
 
 
+def test_high_dimension_where_t_power_overflows(capsys):
+    # 1.9^1100 ~ 2^1019 and 2.4^1100 overflow a float; F'' is a float at
+    # every t on the grid, and S = 0 at t = 1.905, where F'' ~ 1e-305.
+    code, out = run(capsys, "admissible", "--potential", "burns_simanca", "--dim", "1100", "--t-range", "1.5..2.5")
+    assert code == 0 and json.loads(out)["overall"] == "pass"
+    code, out = run(capsys, "curvature", "--potential", "burns_simanca", "--dim", "1100", "--t", "1.905")
+    assert code == 0
+    assert abs(json.loads(out)["results"][0]["measured"]) <= 1e-290
+
+
 def test_curvature_refuses_where_f2_underflows(capsys):
     # At t = 50, F'' ~ 1e-510 is below every float: exit 2, naming the cause.
     code = dispatch(["curvature", "--potential", "burns_simanca", "--dim", "300", "--t", "50"])

@@ -74,7 +74,7 @@ def test_f2_jet_outside_domain():
         (fubini_study_potential(), np.linspace(0.02, 0.98, 9)),
         (generalized_burns_potential(), np.linspace(1.05, 30.0, 9)),
         (get_potential("burns_simanca", 5), np.linspace(1.01, 90.0, 9)),
-        # n ln t = 300 at t = e^3: the batch mixes both forms of the family.
+        # t^100 = 2^400 at t = 16: the batch mixes scaled and unscaled points.
         (scalar_flat_family(100, 1.5, -0.7), np.geomspace(2.0, 60.0, 11)),
     ],
     ids=["flat", "fubini_study", "generalized_burns", "burns_simanca", "family_n100_straddling"],
@@ -604,6 +604,123 @@ def test_scalar_flat_family_domain_guard():
     pot = scalar_flat_family(3, 1.96, -1.02)
     with pytest.raises(DomainError):
         f2_jet(pot, pot.domain[0] - 0.2, 2)
+
+
+FAMILY_MEMBERS = [lambda n: (n - 1.0, 2.0 - n), lambda n: (1.5, -0.7)]
+
+
+@pytest.mark.parametrize("n", [100, 200, 300])
+def test_family_jet_is_the_unscaled_formula_bit_for_bit(n):
+    # One formula at every t: past t^n = 2^400 the family scales numer and
+    # t^n by the same power of two, which leaves the quotient's bits alone.
+    # The points run from below that cap, at t = e^(250/n), to t^(n+1) =
+    # e^705, short of overflow and of a subnormal F''; the unscaled formula
+    # is compared wherever it is finite, one t at a time and as one batch.
+    ts = np.geomspace(math.exp(250.0 / n), math.exp(705.0 / (n + 1)), 48)
+    for member in FAMILY_MEMBERS:
+        a, b = member(n)
+        pot = scalar_flat_family(n, a, b, domain=(1.0, math.inf))
+        past_switch = 0
+        for order in range(7):
+            batched = f2_jet(pot, ts, order).coefficients
+            for i, t in enumerate(ts.tolist()):
+                tj = variable(t, order)
+                numer = a * tj + b
+                try:
+                    want = (numer / (tj * (jet_pow(tj, n) - numer))).coefficients
+                except DomainError:  # t^n or t^(n+1) overflows
+                    continue
+                assert f2_jet(pot, t, order).coefficients == want, (order, t)
+                assert tuple(float(c[i]) for c in batched) == want, (order, t)
+                past_switch += n * math.log2(t) > 400.0
+        assert past_switch >= 7 * 20
+
+
+def _family_taylor_reference(mpmath, n, a, b, t, order):
+    """Taylor coefficients of (a u + b) / (u (u^n - a u - b)) at t, by 50-digit series division."""
+    with mpmath.workdps(50):
+        T, A, B = mpmath.mpf(t), mpmath.mpf(a), mpmath.mpf(b)
+        numer = [A * T + B, A] + [mpmath.mpf(0)] * (order - 1)
+        gap = [mpmath.binomial(n, j) * T ** (n - j) - numer[j] for j in range(order + 1)]
+        divisor = [T * gap[0]] + [T * gap[j] + gap[j - 1] for j in range(1, order + 1)]
+        q = []
+        for k in range(order + 1):
+            q.append((numer[k] - sum(divisor[i] * q[k - i] for i in range(1, k + 1))) / divisor[0])
+        return q
+
+
+@pytest.mark.parametrize(
+    "n, ts, low_orders, all_orders, refused_points",
+    [
+        (300, np.linspace(10.5, 10.9, 41), 64, 512, 10),
+        (100, np.geomspace(21.0, 1100.0, 41), 64, 512, 0),
+        (400, np.linspace(5.5, 6.0, 26), 128, 1024, 2),
+    ],
+)
+def test_family_jet_past_overflow_matches_mpmath(n, ts, low_orders, all_orders, refused_points):
+    # Here t^n overflows, so the jet comes from the scaled quotient.  Its
+    # error is that of the unscaled formula where t^n is finite: at n = 300,
+    # at most 61 eps through order two and 356 eps at order six (t = 10.8),
+    # against about 270 eps at order six for t = 2.5..2.7.  Where F'' itself is
+    # subnormal a derivative jet is refused and the value is kept to a few
+    # subnormal ulps.  Bounds are in eps, relative to each coefficient.
+    mpmath = pytest.importorskip("mpmath")
+    eps, tiny, ulp = np.finfo(float).eps, np.finfo(float).tiny, 2.0**-1074
+    pot = burns_simanca_potential(n)
+    compared, refused = [], 0
+    for t in ts.tolist():
+        ref = _family_taylor_reference(mpmath, n, n - 1, 2 - n, t, 6)
+        if abs(ref[0]) < tiny:
+            with pytest.raises(DomainError, match="underflows"):
+                f2_jet(pot, t, 1)
+            assert abs(f2_value(pot, t) - ref[0]) <= 64 * ulp
+            refused += 1
+            continue
+        jet = f2_jet(pot, t, 6).coefficients
+        errors = [float(abs(got - want) / abs(want)) / eps for got, want in zip(jet, ref)]
+        assert max(errors[:3]) <= low_orders and max(errors) <= all_orders, (t, errors)
+        compared.append((t, jet))
+    assert len(compared) >= 20 and refused == refused_points
+    batched = f2_jet(pot, np.array([t for t, _ in compared]), 6).coefficients
+    assert [tuple(float(c[i]) for c in batched) for i in range(len(compared))] == [jet for _, jet in compared]
+
+
+@pytest.mark.parametrize("n, lo, hi", [(1100, 1.5, 4.0), (1100, 1.9, 1.92), (3000, 1.2, 1.3)])
+def test_family_at_high_dimension_matches_mpmath(n, lo, hi):
+    # t^1100 overflows from t = 1.9072 on, where F'' ~ 1e-305 is still a
+    # normal float, and past n ~ 2046 no one scaling t 2^-k keeps (t 2^-k)^n
+    # in the float range at every t.  Each partial power is rescaled instead,
+    # so the value is a float at every t, and a derivative jet is one wherever
+    # F'' is normal.  The value's error grows with the n-fold product: at
+    # most about 310, 240 and 900 eps on 301-point grids over these ranges.
+    mpmath = pytest.importorskip("mpmath")
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    pot = burns_simanca_potential(n)
+    ts = np.linspace(lo, hi, 101)
+    values = f2_value(pot, ts)
+    normal = 0
+    for t, got in zip(ts.tolist(), values.tolist()):
+        want = _family_taylor_reference(mpmath, n, n - 1, 2 - n, t, 2)
+        assert float(abs(got - want[0])) <= n / 2 * eps * max(float(abs(want[0])), tiny), t
+        assert f2_value(pot, t) == got
+        if abs(want[0]) >= tiny:
+            jet = f2_jet(pot, t, 2).coefficients
+            errors = [float(abs(c - w) / abs(w)) / eps for c, w in zip(jet, want)]
+            assert max(errors) <= n / 2, (t, errors)
+            normal += 1
+    assert normal >= 10
+
+
+@pytest.mark.parametrize("n, a, b", [(1, 0.5, 0.0), (2, 1.0, 0.5), (3, 2.0, -1.0), (500, 499.0, -498.0)])
+def test_family_value_at_huge_t(n, a, b):
+    # t itself passes 2^400 here, so even the first factor of t^n is rescaled.
+    mpmath = pytest.importorskip("mpmath")
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    pot = scalar_flat_family(n, a, b)
+    ts = np.array([1e100, 1e200, 1e300])
+    for t, got in zip(ts.tolist(), f2_value(pot, ts).tolist()):
+        want = float(_family_taylor_reference(mpmath, n, a, b, t, 0)[0])
+        assert abs(got - want) <= 4 * eps * max(want, tiny), (t, got, want)
 
 
 def _exact_gap(n, a, b, t):

@@ -252,6 +252,27 @@ def test_delta_is_exact_beyond_float_range_of_its_parts():
     assert match.delta(25.0) == pytest.approx(2.0**300 / 24.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["delta", "quotient_value", "delta_check"])
+def test_non_finite_t_is_a_domain_error(entry, t):
+    # Fraction() raises ValueError on NaN and OverflowError on an infinity;
+    # neither may leak past the boundary-match entry points.
+    match = solve_boundary_coefficients(3)
+    call = {
+        "delta": match.delta,
+        "quotient_value": match.quotient_value,
+        "delta_check": lambda t: delta_check(match, [2.0, t]),
+    }[entry]
+    with pytest.raises(DomainError):
+        call(t)
+
+
+def test_quotient_value_beyond_float_range_is_a_domain_error():
+    # Q(1e200) ~ 1e400 at n = 3 is exact as a rational but not a float.
+    with pytest.raises(DomainError, match="overflows"):
+        solve_boundary_coefficients(3).quotient_value(1e200)
+
+
 def test_delta_check_fails_for_mismatched_coefficients():
     bad = boundary_match(3, 0, 0)
     assert bad.remainder != 0
