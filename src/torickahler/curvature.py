@@ -23,6 +23,7 @@ array and evaluate ``g`` on whole blocks of them at once;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -155,34 +156,61 @@ def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
     return HessianEval(x=x, G=G, G_inv=_t_family_inverse(x, f2), det_G_inv=float(det_G_inv), posdef=True)
 
 
+@functools.cache
+def _stencil_offsets(n: int) -> np.ndarray:
+    """The 1 + 4 n^2 offsets of :func:`_stencil_points` at unit step, shape (1 + 4 n^2, n), read-only.
+
+    Row 0 is the centre, then 2 n^2 offsets at step 1 and the same 2 n^2 at
+    step 1/2, each block ordered +e_i, -e_i (i = 0..n-1), then +e_i+e_j,
+    +e_i-e_j, -e_i+e_j, -e_i-e_j over i < j.  Made once per n.
+    """
+    i, j = np.triu_indices(n, 1)
+    m, axis = len(i), np.arange(n)
+    first, second = np.concatenate([axis, axis, i, i, i, i]), np.concatenate([axis, axis, j, j, j, j])
+    first_sign = np.repeat([1.0, -1.0, 1.0, 1.0, -1.0, -1.0], [n, n, m, m, m, m])
+    second_sign = np.repeat([0.0, 0.0, 1.0, -1.0, 1.0, -1.0], [n, n, m, m, m, m])
+    k = np.arange(1, 1 + 4 * n * n)
+    unit = (k - 1) % (2 * n * n)
+    scale = np.where(k > 2 * n * n, 0.5, 1.0)
+    offsets = np.zeros((1 + 4 * n * n, n))
+    offsets[k, first[unit]] = first_sign[unit] * scale
+    offsets[k, second[unit]] += second_sign[unit] * scale
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _stencil_points(
     x: np.ndarray, h: float | np.ndarray, start: int = 0, stop: int | None = None
 ) -> np.ndarray:
     """The 1 + 4 n^2 points of the second-difference stencil around each centre, or its points start..stop.
 
     ``x`` has shape (..., n) and the result (..., 1 + 4 n^2, n): the centre,
-    then 2 n^2 points at step h and the same 2 n^2 at step h/2, each block
-    ordered +e_i, -e_i (i = 0..n-1), then +e_i+e_j, +e_i-e_j, -e_i+e_j,
-    -e_i-e_j over i < j.  Every point is distinct.  ``h`` is one step for
-    every centre, or an array of x's batch shape (...) with a step per centre.
-    Each offset has at most two nonzero entries, so a slice of the stencil is
-    built without the rest of it; every point is the same, bit for bit,
-    whatever slice it comes from.
+    then 2 n^2 points at step h and the same 2 n^2 at step h/2, in the order
+    of :func:`_stencil_offsets`.  Every point is distinct.  ``h`` is one step
+    for every centre, or an array of x's batch shape (...) with a step per
+    centre.  A slice of the stencil is built without the rest of it; every
+    point is the same, bit for bit, whatever slice it comes from.
     """
-    n = x.shape[-1]
-    i, j = np.triu_indices(n, 1)
-    m, axis = len(i), np.arange(n)
-    first, second = np.concatenate([axis, axis, i, i, i, i]), np.concatenate([axis, axis, j, j, j, j])
-    first_sign = np.repeat([1.0, -1.0, 1.0, 1.0, -1.0, -1.0], [n, n, m, m, m, m])
-    second_sign = np.repeat([0.0, 0.0, 1.0, -1.0, 1.0, -1.0], [n, n, m, m, m, m])
-    k = np.arange(start, 1 + 4 * n * n if stop is None else stop)
-    offsets = np.zeros((k.size, n))
-    rows = np.flatnonzero(k)
-    unit = (k[rows] - 1) % (2 * n * n)
-    scale = np.where(k[rows] > 2 * n * n, 0.5, 1.0)
-    offsets[rows, first[unit]] = first_sign[unit] * scale
-    offsets[rows, second[unit]] += second_sign[unit] * scale
+    offsets = _stencil_offsets(x.shape[-1])[start:stop]
     return x[..., None, :] + offsets * np.expand_dims(h, (-2, -1))
+
+
+@functools.cache
+def _richardson_layout(n: int) -> tuple:
+    """Where :func:`_richardson_combine` reads its differences and writes its Hessian, made once per n.
+
+    The six slices of one step's 2 n^2 stencil values (+e_i, -e_i, then the
+    four mixed blocks) and the flat indices, into an n x n matrix, of its
+    diagonal, its upper and its lower triangle.
+    """
+    m = n * (n - 1) // 2
+    bounds = np.cumsum([0, n, n, m, m, m, m]).tolist()
+    blocks = tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
+    i, j = np.triu_indices(n, 1)
+    indices = (np.arange(n) * (n + 1), i * n + j, j * n + i)
+    for index in indices:
+        index.flags.writeable = False
+    return blocks, indices
 
 
 def _richardson_combine(values: np.ndarray, h: float | np.ndarray) -> np.ndarray:
@@ -197,17 +225,16 @@ def _richardson_combine(values: np.ndarray, h: float | np.ndarray) -> np.ndarray
     if isinstance(h, np.ndarray):
         h = h[..., None]
     n = math.isqrt((values.shape[-1] - 1) // 4)
-    m = n * (n - 1) // 2
-    i, j = np.triu_indices(n, 1)
-    diag = np.arange(n)
+    (plus, minus, pp, pm, mp, mm), (diag, upper, lower) = _richardson_layout(n)
     center = values[..., :1]
 
     def at(step_values: np.ndarray, step: float) -> np.ndarray:
-        plus, minus, pp, pm, mp, mm = np.split(step_values, np.cumsum([n, n, m, m, m]), axis=-1)
-        D = np.empty(values.shape[:-1] + (n, n))
-        D[..., diag, diag] = (plus - 2.0 * center + minus) / step**2
-        D[..., i, j] = D[..., j, i] = (pp - pm - mp + mm) / (4.0 * step**2)
-        return D
+        D = np.empty(values.shape[:-1] + (n * n,))
+        D[..., diag] = (step_values[..., plus] - 2.0 * center + step_values[..., minus]) / step**2
+        D[..., upper] = D[..., lower] = (
+            step_values[..., pp] - step_values[..., pm] - step_values[..., mp] + step_values[..., mm]
+        ) / (4.0 * step**2)
+        return D.reshape(values.shape[:-1] + (n, n))
 
     coarse = at(values[..., 1 : 1 + 2 * n * n], h)
     fine = at(values[..., 1 + 2 * n * n :], h / 2.0)
@@ -217,9 +244,12 @@ def _richardson_combine(values: np.ndarray, h: float | np.ndarray) -> np.ndarray
 def _checked_inverse(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and inverses of the Hessians ``G`` (shape (..., n, n)).
 
-    A Hessian whose smallest eigenvalue is negligible against the largest
-    raises :class:`DegeneratePotentialError` rather than returning garbage.
+    A Hessian with a non-finite entry, or whose smallest eigenvalue is
+    negligible against the largest, raises :class:`DegeneratePotentialError`
+    rather than returning garbage.
     """
+    if not np.isfinite(G).all():
+        raise DegeneratePotentialError("Hessian has a non-finite entry")
     eigenvalues = np.linalg.eigvalsh(G)
     magnitudes = np.abs(eigenvalues)
     ratio = magnitudes.min(axis=-1) / np.maximum(1.0, magnitudes.max(axis=-1))

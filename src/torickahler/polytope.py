@@ -6,17 +6,21 @@ built in: the positive orthant, the standard simplex, and the orthant with its
 corner vertex truncated (the one-point blow-up).
 
 Facet functionals, :func:`facet_values` and :func:`canonical_potential` take
-points of shape ``(..., n)``: one point or a whole batch in one call.
+points of shape ``(..., n)``: one point or a whole batch in one call.  Every sum
+over coordinates or facets runs left to right, one column of the batch at a
+time (see :func:`row_sum`), so a point gives the same bits alone as inside a
+batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NearBoundaryError
+from .errors import DimensionError, DomainError, NearBoundaryError
 
 __all__ = [
     "BOUNDARY_CUTOFF",
@@ -25,6 +29,7 @@ __all__ = [
     "build_standard",
     "facet_values",
     "canonical_potential",
+    "row_sum",
 ]
 
 #: l_i ln l_i stays finite at the boundary but its derivatives do not; keep
@@ -32,9 +37,29 @@ __all__ = [
 BOUNDARY_CUTOFF = 1e-12
 
 
+def row_sum(x: np.ndarray) -> np.ndarray | float:
+    """The sum of ``x`` (shape ``(..., n)``) over its last axis, left to right.
+
+    One column is added at a time, so a row alone gets the bits it gets inside
+    a batch; for rows shorter than 8, these are the bits of
+    ``x.sum(axis=-1)``, which adds such rows in order too.  On a batch of
+    short rows it is several times faster than numpy's reduction.  A single
+    row gives a float.
+    """
+    total = x[..., 0].copy()
+    for k in range(1, x.shape[-1]):
+        total += x[..., k]
+    return total[()]
+
+
 @dataclass(frozen=True)
 class AffineFunctional:
-    """The facet functional x -> <x, normal> - offset, for x of shape (..., n)."""
+    """The facet functional x -> <x, normal> - offset, for x of shape (..., n).
+
+    ``<x, normal>`` adds ``u_i x_i`` over the nonzero entries of the normal,
+    left to right; an entry 1 adds the column itself, so the facet ``x_i >= 0``
+    gives ``x_i`` exactly.
+    """
 
     normal: tuple[int, ...]
     offset: float
@@ -52,7 +77,12 @@ class AffineFunctional:
             raise DimensionError(
                 f"point has shape {x.shape}, facet normal has length {len(self.normal)}"
             )
-        return np.einsum("...i,i->...", x, np.asarray(self.normal, dtype=float)) - self.offset
+        total = None
+        for i, u in enumerate(self.normal):
+            if u:
+                term = x[..., i] if u == 1 else u * x[..., i]
+                total = term if total is None else total + term
+        return total - self.offset
 
 
 @dataclass(frozen=True)
@@ -107,14 +137,29 @@ def canonical_potential(poly: DelzantPolytope, x: Sequence[float] | np.ndarray) 
     """The convex function (1/2) sum_i l_i(x) ln l_i(x) on the interior.
 
     ``x`` has shape ``(..., n)`` and the result shape ``(...)``; one point gives
-    a float.  Every point must be at least ``BOUNDARY_CUTOFF`` inside.
+    a float.  Every point must be at least ``BOUNDARY_CUTOFF`` inside and every
+    facet value finite, or :class:`NearBoundaryError` is raised; an empty batch
+    raises :class:`DomainError`.  The terms are added facet by facet, left to
+    right, in the order in which :func:`row_sum` adds the columns of
+    :func:`facet_values`.
     """
-    total = 0.0
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        raise DomainError("a batch of points must not be empty")
+    # One facet at a time: the terms of a whole stencil block stacked side by
+    # side would hold several times the memory for no gain in speed.
+    total = None
     for facet in poly.facets:
-        values = facet(x)
-        if np.any(values < BOUNDARY_CUTOFF):
+        values = facet(x)  # a fresh array, never a view of x
+        # min and max are NaN if any value is, which fails both comparisons.
+        if not (values.min() >= BOUNDARY_CUTOFF and values.max() < math.inf):
             raise NearBoundaryError(
-                f"point within {BOUNDARY_CUTOFF} of the boundary; log terms degenerate"
+                f"a facet value is within {BOUNDARY_CUTOFF} of the boundary or not finite; "
+                "log terms degenerate"
             )
-        total = total + values * np.log(values)
+        values *= np.log(values)
+        if total is None:
+            total = values
+        else:
+            total += values
     return 0.5 * total

@@ -17,6 +17,7 @@ from torickahler.curvature import (
 from torickahler.errors import (
     DegeneratePotentialError,
     DomainError,
+    NearBoundaryError,
     NonAdmissibleError,
 )
 from torickahler.jets import constant, variable
@@ -600,6 +601,60 @@ def test_stencil_slices_match_the_whole_stencil(n):
     assert np.array_equal(curvature._stencil_points(x, h), whole)
     parts = [curvature._stencil_points(x, h, k, min(k + 3, len(offsets))) for k in range(0, len(offsets), 3)]
     assert np.array_equal(np.concatenate(parts, axis=1), whole)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_stencil_geometry_is_made_once_per_n_and_read_only(n):
+    offsets = curvature._stencil_offsets(n)
+    assert offsets is curvature._stencil_offsets(n)
+    assert offsets.shape == (1 + 4 * n * n, n)
+    assert not offsets.flags.writeable
+    with pytest.raises(ValueError):
+        offsets[1, 0] = 2.0
+    blocks, indices = curvature._richardson_layout(n)
+    assert blocks is curvature._richardson_layout(n)[0]
+    assert sum(b.stop - b.start for b in blocks) == 2 * n * n
+    for index in indices:
+        assert not index.flags.writeable
+
+
+def test_richardson_combine_matches_dense_second_differences():
+    # The cached layout against the formula written out entry by entry.
+    rng = np.random.default_rng(19)
+    n, h = 3, 1e-2
+    x = rng.uniform(0.5, 1.0, n)
+    g = symplectic_evaluator(fubini_study_potential())
+    values = g(curvature._stencil_points(x / 4.0, h))
+    eye = np.eye(n)
+
+    def second(step, i, j):
+        f = lambda d: g(x / 4.0 + d)  # noqa: E731
+        if i == j:
+            return (f(step * eye[i]) - 2.0 * f(0.0 * eye[i]) + f(-step * eye[i])) / step**2
+        return (f(step * (eye[i] + eye[j])) - f(step * (eye[i] - eye[j])) - f(step * (eye[j] - eye[i]))
+                + f(-step * (eye[i] + eye[j]))) / (4.0 * step**2)
+
+    want = np.array([[(4.0 * second(h / 2.0, i, j) - second(h, i, j)) / 3.0 for j in range(n)] for i in range(n)])
+    assert np.array_equal(curvature._richardson_combine(values, h), want)
+
+
+def test_finite_differences_refuse_a_nan_canonical_point():
+    # NaN used to pass the boundary check and reach eigvalsh as a NaN Hessian.
+    poly = build_standard("blowup", 3)
+    g = lambda x: canonical_potential(poly, x)  # noqa: E731
+    for fn in (hessian_general, scalar_curvature_abreu):
+        with pytest.raises(NearBoundaryError):
+            fn(g, [1.0, math.nan, 1.0])
+
+
+def test_non_finite_hessian_is_degenerate():
+    # A g that is NaN on part of the stencil must not reach eigvalsh.
+    g = lambda x: np.where(x[..., 0] > 1.0, math.nan, x[..., 0] ** 2 + x[..., 1] ** 2)  # noqa: E731
+    for fn in (hessian_general, scalar_curvature_abreu):
+        with pytest.raises(DegeneratePotentialError):
+            fn(g, [1.0, 1.0])
+    with pytest.raises(DegeneratePotentialError):
+        curvature._checked_inverse(np.array([[[1.0, 0.0], [0.0, math.inf]]]))
 
 
 def test_one_bad_row_fails_the_whole_roundtrip_batch():

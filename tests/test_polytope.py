@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from torickahler.errors import DimensionError, NearBoundaryError
+from torickahler.errors import DimensionError, DomainError, NearBoundaryError
 from torickahler.polytope import (
     AffineFunctional,
     build_standard,
     canonical_potential,
     facet_values,
+    row_sum,
 )
 
 
@@ -148,3 +149,80 @@ def test_batched_canonical_potential_matches_row_by_row():
         x[3, 2] = 0.01 * x[3, 2] if kind == "blowup" else -x[3, 2]
         with pytest.raises(NearBoundaryError):
             canonical_potential(poly, x)
+
+
+def _interior_batch(rng, kind, n, shape):
+    lo, hi = {"orthant": (0.5, 4.0), "simplex": (0.2, 0.9), "blowup": (1.5, 3.0)}[kind]
+    w = rng.uniform(0.5, 1.0, shape + (n,))
+    return rng.uniform(lo, hi, shape + (1,)) * w / w.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_sum_has_the_bits_of_numpy_sum_for_short_rows(n):
+    # numpy adds a row of fewer than 8 entries in order; longer ones pairwise.
+    rng = np.random.default_rng(30 + n)
+    x = rng.uniform(0.0, 3.0, (400, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (400, n))
+    assert np.array_equal(row_sum(x), x.sum(axis=-1))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_row_sum_of_one_row_matches_its_batch_row(n):
+    rng = np.random.default_rng(50 + n)
+    x = rng.uniform(-1.0, 3.0, (4, 5, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (4, 5, n))
+    batch = row_sum(x)
+    assert batch.shape == (4, 5)
+    rows = np.array([[row_sum(point) for point in block] for block in x])
+    assert np.array_equal(batch, rows)
+    assert isinstance(row_sum(x[0, 0]), float)
+    # Left to right, one column at a time.
+    total = x[..., 0]
+    for k in range(1, n):
+        total = total + x[..., k]
+    assert np.array_equal(batch, total)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_axis_facets_return_the_column_exactly(n):
+    x = np.random.default_rng(60 + n).uniform(1e-300, 1e300, (7, n))
+    poly = build_standard("blowup", n)
+    for i, facet in enumerate(poly.facets[:n]):
+        assert np.array_equal(facet(x), x[:, i])
+        assert facet(x) is not x[:, i] and not np.shares_memory(facet(x), x)
+
+
+@pytest.mark.parametrize("kind", ["orthant", "simplex", "blowup"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_facet_values_match_row_by_row_bitwise(kind, n):
+    rng = np.random.default_rng(70 + n)
+    poly = build_standard(kind, n)
+    x = _interior_batch(rng, kind, n, (6, 5))
+    batch = facet_values(poly, x)
+    rows = np.array([[facet_values(poly, point) for point in block] for block in x])
+    assert batch.shape == (6, 5, len(poly.facets))
+    assert np.array_equal(batch, rows)
+    # The last facet of simplex and blowup sums its coordinates left to right.
+    if kind != "orthant":
+        sign = -1.0 if kind == "simplex" else 1.0
+        assert np.array_equal(batch[..., -1], sign * row_sum(x) - sign)
+    potential = canonical_potential(poly, x)
+    assert np.array_equal(potential, np.array([[canonical_potential(poly, p) for p in b] for b in x]))
+    assert np.array_equal(potential, 0.5 * row_sum(batch * np.log(batch)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["orthant", "simplex", "blowup"])
+def test_canonical_potential_refuses_non_finite_coordinates(kind, bad):
+    poly = build_standard(kind, 3)
+    x = _interior_batch(np.random.default_rng(80), kind, 3, (4,))
+    canonical_potential(poly, x)
+    x[2, 1] = bad
+    with pytest.raises(NearBoundaryError):
+        canonical_potential(poly, x)
+    with pytest.raises(NearBoundaryError):
+        canonical_potential(poly, x[2])
+
+
+def test_canonical_potential_refuses_an_empty_batch():
+    poly = build_standard("blowup", 3)
+    with pytest.raises(DomainError):
+        canonical_potential(poly, np.empty((0, 3)))

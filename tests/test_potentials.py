@@ -529,6 +529,34 @@ def test_one_bad_row_fails_the_whole_batch(make_g, good, row, error):
         g(x)
 
 
+@pytest.mark.parametrize("make_g", [lambda: symplectic_evaluator(fubini_study_potential()), _gb_chebyshev],
+                         ids=["closed_form", "chebyshev"])
+def test_evaluator_refuses_an_empty_batch(make_g):
+    with pytest.raises(DomainError):
+        make_g()(np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 35, 67, 131, 258])
+def test_clenshaw_has_the_bits_of_chebval(size):
+    rng = np.random.default_rng(90 + size)
+    c = rng.normal(size=size) * 10.0 ** rng.uniform(-8.0, 2.0, size)
+    for x in (rng.uniform(-1.0, 1.0, 600), rng.uniform(-1.0, 1.0, (3, 4, 5)), np.array([0.25]), 0.3, -1.0):
+        want = np.polynomial.chebyshev.chebval(x, c)
+        got = potentials._clenshaw(x, c)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+    assert isinstance(potentials._clenshaw(0.3, c), float)
+
+
+def test_clenshaw_has_the_bits_of_chebval_at_every_length():
+    rng = np.random.default_rng(91)
+    c = rng.normal(size=258)
+    x = rng.uniform(-1.0, 1.0, 64)
+    for size in range(1, 259):
+        assert np.array_equal(potentials._clenshaw(x, c[:size]), np.polynomial.chebyshev.chebval(x, c[:size]))
+        assert potentials._clenshaw(x[7], c[:size]) == np.polynomial.chebyshev.chebval(x[7], c[:size])
+
+
 def test_quadrature_value_matches_closed_form_up_to_affine():
     closed = generalized_burns_potential()
     bare = custom_potential(closed.jet_fn, closed.domain, label="gb_no_value")
