@@ -20,7 +20,7 @@ from .errors import (
     SingularPointError,
     ToricError,
 )
-from .jets import DEFAULT_ORDER, TaylorJet, arith, derivative, exp_jet, jet_pow, ln_jet
+from .jets import DEFAULT_ORDER, TaylorJet, arith, derivative, jet_pow, ln_jet
 from .polytope import (
     AffineFunctional,
     DelzantPolytope,
@@ -61,7 +61,6 @@ from .curvature import (
 from .scalarflat import (
     BoundaryMatch,
     boundary_match,
-    boundary_regularity,
     burns_simanca_potential,
     delta_check,
     reconstruct_F,

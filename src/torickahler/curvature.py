@@ -56,21 +56,27 @@ __all__ = [
 ]
 
 #: Most points per ``g`` call in :func:`scalar_curvature_abreu`; bounds the
-#: memory of one batch (Abreu at n = 8 needs 257^2 = 66,049 points).  Batched
+#: memory of one batch (Abreu at n = 8 needs 257 x 145 = 37,265 points: 145
+#: for each inner Hessian at each of 257 outer points).  Batched
 #: :func:`legendre_roundtrip` and :func:`~torickahler.asymptotics.chart_deviation`
 #: evaluate their rows in blocks under the same bound (see :func:`_in_blocks`).
 STENCIL_BLOCK = 8192
 
 
+def _block_rows(per_row: int) -> int:
+    """Rows per block of :func:`_in_blocks`: ``STENCIL_BLOCK // per_row``, one if a single row costs more."""
+    return max(1, STENCIL_BLOCK // per_row)
+
+
 def _in_blocks(fn: Callable, per_row: int, *rows: np.ndarray):
     """``fn`` on consecutive blocks of the row arrays ``rows``, results joined along axis 0.
 
-    A block holds at most ``STENCIL_BLOCK // per_row`` rows, one if a single
-    row costs more; ``per_row`` is what one row costs in stencil points or
-    matrix entries.  ``fn`` takes one block of each row array and returns an
-    array or a tuple of arrays with one entry per row.
+    A block holds :func:`_block_rows` rows; ``per_row`` is what one row
+    costs in stencil points or matrix entries.  ``fn`` takes one block of
+    each row array and returns an array or a tuple of arrays with one entry
+    per row.
     """
-    size = max(1, STENCIL_BLOCK // per_row)
+    size = _block_rows(per_row)
     parts = [fn(*(r[k : k + size] for r in rows)) for k in range(0, len(rows[0]), size)]
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p) for p in zip(*parts))
@@ -156,23 +162,36 @@ def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
     return HessianEval(x=x, G=G, G_inv=_t_family_inverse(x, f2), det_G_inv=float(det_G_inv), posdef=True)
 
 
-@functools.cache
-def _stencil_offsets(n: int) -> np.ndarray:
-    """The 1 + 4 n^2 offsets of :func:`_stencil_points` at unit step, shape (1 + 4 n^2, n), read-only.
+#: Corner sets of the mixed second differences.  ``FOUR_CORNERS`` are
+#: +-e_i +-e_j, whose mixed entry is (g_++ - g_+- - g_-+ + g_--) / (4 s^2);
+#: ``TWO_CORNERS`` are +-(e_i + e_j), whose mixed entry is
+#: (1/2)[(g_++ - 2 g_0 + g_--) / s^2 - D_ii - D_jj], so a stencil takes
+#: 1 + 2 n + 2 n^2 points instead of 1 + 4 n^2.
+FOUR_CORNERS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+TWO_CORNERS = ((1.0, 1.0), (-1.0, -1.0))
 
-    Row 0 is the centre, then 2 n^2 offsets at step 1 and the same 2 n^2 at
-    step 1/2, each block ordered +e_i, -e_i (i = 0..n-1), then +e_i+e_j,
-    +e_i-e_j, -e_i+e_j, -e_i-e_j over i < j.  Made once per n.
+
+@functools.cache
+def _stencil_offsets(n: int, corners: tuple) -> np.ndarray:
+    """The offsets of :func:`_stencil_points` at unit step, shape (points, n), read-only.
+
+    Row 0 is the centre, then the offsets at step 1 and the same at step 1/2,
+    each block ordered +e_i, -e_i (i = 0..n-1), then a e_i + b e_j over i < j
+    for each corner (a, b) of ``corners`` in turn.  That is 1 + 2 n + 2 n^2
+    rows for ``TWO_CORNERS`` and 1 + 4 n^2 for ``FOUR_CORNERS``.  Made once
+    per n and corner set.
     """
     i, j = np.triu_indices(n, 1)
-    m, axis = len(i), np.arange(n)
-    first, second = np.concatenate([axis, axis, i, i, i, i]), np.concatenate([axis, axis, j, j, j, j])
-    first_sign = np.repeat([1.0, -1.0, 1.0, 1.0, -1.0, -1.0], [n, n, m, m, m, m])
-    second_sign = np.repeat([0.0, 0.0, 1.0, -1.0, 1.0, -1.0], [n, n, m, m, m, m])
-    k = np.arange(1, 1 + 4 * n * n)
-    unit = (k - 1) % (2 * n * n)
-    scale = np.where(k > 2 * n * n, 0.5, 1.0)
-    offsets = np.zeros((1 + 4 * n * n, n))
+    m, axis, c = len(i), np.arange(n), len(corners)
+    first, second = np.concatenate([axis, axis] + [i] * c), np.concatenate([axis, axis] + [j] * c)
+    counts = [n, n] + [m] * c
+    first_sign = np.repeat([1.0, -1.0] + [a for a, _ in corners], counts)
+    second_sign = np.repeat([0.0, 0.0] + [b for _, b in corners], counts)
+    per_step = 2 * n + c * m
+    k = np.arange(1, 1 + 2 * per_step)
+    unit = (k - 1) % per_step
+    scale = np.where(k > per_step, 0.5, 1.0)
+    offsets = np.zeros((1 + 2 * per_step, n))
     offsets[k, first[unit]] = first_sign[unit] * scale
     offsets[k, second[unit]] += second_sign[unit] * scale
     offsets.flags.writeable = False
@@ -180,64 +199,88 @@ def _stencil_offsets(n: int) -> np.ndarray:
 
 
 def _stencil_points(
-    x: np.ndarray, h: float | np.ndarray, start: int = 0, stop: int | None = None
+    x: np.ndarray,
+    h: float | np.ndarray,
+    start: int = 0,
+    stop: int | None = None,
+    *,
+    corners: tuple = TWO_CORNERS,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The 1 + 4 n^2 points of the second-difference stencil around each centre, or its points start..stop.
+    """The points of the second-difference stencil around each centre, or its points start..stop.
 
-    ``x`` has shape (..., n) and the result (..., 1 + 4 n^2, n): the centre,
-    then 2 n^2 points at step h and the same 2 n^2 at step h/2, in the order
-    of :func:`_stencil_offsets`.  Every point is distinct.  ``h`` is one step
-    for every centre, or an array of x's batch shape (...) with a step per
-    centre.  A slice of the stencil is built without the rest of it; every
-    point is the same, bit for bit, whatever slice it comes from.
+    ``x`` has shape (..., n) and the result (..., points, n): the centre,
+    then the points at step h and the same at step h/2, in the order of
+    :func:`_stencil_offsets` for ``corners``.  Every point is distinct.
+    ``h`` is one step for every centre, or an array of x's batch shape (...)
+    with a step per centre.  A slice of the stencil is built without the rest
+    of it; every point is the same, bit for bit, whatever slice it comes from.
+    The points are written to ``out`` if it is given, so that one buffer can
+    serve a run of blocks.
     """
-    offsets = _stencil_offsets(x.shape[-1])[start:stop]
-    return x[..., None, :] + offsets * np.expand_dims(h, (-2, -1))
+    offsets = _stencil_offsets(x.shape[-1], corners)[start:stop]
+    if out is None:
+        out = np.empty(x.shape[:-1] + offsets.shape)
+    # Scaled offsets first, then x added in place: adding the broadcast x
+    # into a fresh array is about a third slower at n = 8, for the same bits.
+    np.multiply(offsets, np.expand_dims(h, (-2, -1)), out=out)
+    out += x[..., None, :]
+    return out
 
 
 @functools.cache
-def _richardson_layout(n: int) -> tuple:
-    """Where :func:`_richardson_combine` reads its differences and writes its Hessian, made once per n.
+def _richardson_layout(n: int, corners: tuple) -> tuple:
+    """Where :func:`_richardson_combine` reads and writes, made once per n and corner set.
 
-    The six slices of one step's 2 n^2 stencil values (+e_i, -e_i, then the
-    four mixed blocks) and the flat indices, into an n x n matrix, of its
-    diagonal, its upper and its lower triangle.
+    The slices of one step's stencil values (+e_i, -e_i, then one mixed block
+    per corner), the flat indices, into an n x n matrix, of its diagonal, its
+    upper and its lower triangle, and the pairs (i, j), i < j, of the mixed
+    blocks.
     """
     m = n * (n - 1) // 2
-    bounds = np.cumsum([0, n, n, m, m, m, m]).tolist()
+    bounds = np.cumsum([0, n, n] + [m] * len(corners)).tolist()
     blocks = tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
     i, j = np.triu_indices(n, 1)
-    indices = (np.arange(n) * (n + 1), i * n + j, j * n + i)
+    indices = (np.arange(n) * (n + 1), i * n + j, j * n + i, i, j)
     for index in indices:
         index.flags.writeable = False
     return blocks, indices
 
 
-def _richardson_combine(values: np.ndarray, h: float | np.ndarray) -> np.ndarray:
+def _richardson_combine(values: np.ndarray, h: float | np.ndarray, corners: tuple = TWO_CORNERS) -> np.ndarray:
     """Second partials from values on :func:`_stencil_points`: steps h and h/2, one Richardson step.
 
-    ``values`` has the stencil on its last axis, shape (..., 1 + 4 n^2); the
-    result has shape (..., n, n), entry [i, j] being d^2/dx_i dx_j.  Entries
-    (i, j) and (j, i) come from the same four values, so the result is
-    symmetric in its last two axes.  ``h`` is one step, or an array of the
-    batch shape (...) with a step per centre.
+    ``values`` has the stencil of ``corners`` on its last axis; the result has
+    shape (..., n, n), entry [i, j] being d^2/dx_i dx_j.  Entries (i, j) and
+    (j, i) are one value, so the result is symmetric in its last two axes.
+    The diagonal reads only the centre and +-e_i, so it is the same, bit for
+    bit, for either corner set.  ``h`` is one step, or an array of the batch
+    shape (...) with a step per centre.
     """
     if isinstance(h, np.ndarray):
         h = h[..., None]
-    n = math.isqrt((values.shape[-1] - 1) // 4)
-    (plus, minus, pp, pm, mp, mm), (diag, upper, lower) = _richardson_layout(n)
+    # One step holds 2 n + c n (n - 1) / 2 values for c corners, so twice that
+    # over c is n^2 (c = 4) or n^2 + n (c = 2), and its integer root is n.
+    per_step = (values.shape[-1] - 1) // 2
+    n = math.isqrt(2 * per_step // len(corners))
+    (plus, minus, *mixed), (diag, upper, lower, i, j) = _richardson_layout(n, corners)
     center = values[..., :1]
 
     def at(step_values: np.ndarray, step: float) -> np.ndarray:
         D = np.empty(values.shape[:-1] + (n * n,))
-        D[..., diag] = (step_values[..., plus] - 2.0 * center + step_values[..., minus]) / step**2
-        D[..., upper] = D[..., lower] = (
-            step_values[..., pp] - step_values[..., pm] - step_values[..., mp] + step_values[..., mm]
-        ) / (4.0 * step**2)
+        D_diag = D[..., diag] = (step_values[..., plus] - 2.0 * center + step_values[..., minus]) / step**2
+        if len(corners) == 4:
+            pp, pm, mp, mm = (step_values[..., block] for block in mixed)
+            D[..., upper] = D[..., lower] = (pp - pm - mp + mm) / (4.0 * step**2)
+        else:
+            pp, mm = (step_values[..., block] for block in mixed)
+            D[..., upper] = D[..., lower] = 0.5 * (
+                (pp - 2.0 * center + mm) / step**2 - D_diag[..., i] - D_diag[..., j]
+            )
         return D.reshape(values.shape[:-1] + (n, n))
 
-    coarse = at(values[..., 1 : 1 + 2 * n * n], h)
-    fine = at(values[..., 1 + 2 * n * n :], h / 2.0)
+    coarse = at(values[..., 1 : 1 + per_step], h)
+    fine = at(values[..., 1 + per_step :], h / 2.0)
     return (4.0 * fine - coarse) / 3.0
 
 
@@ -266,12 +309,14 @@ def hessian_general(
     """Hessian of an arbitrary potential evaluator by central differences.
 
     ``g`` maps points of shape (..., n) to values of shape (...); it is called
-    once, on the 1 + 4 n^2 stencil points.  One Richardson pass over steps
-    (h, h/2) removes the leading h^2 error; the result is symmetric by
-    construction.  A numerically singular Hessian raises
-    :class:`DegeneratePotentialError`.  The caller must keep ``x`` more than
-    ``2 * step`` away from any boundary of ``g``'s domain; the stencil reaches
-    that far.
+    once, on the 1 + 2 n + 2 n^2 points of the two-corner stencil: the centre,
+    +-e_i and +-(e_i + e_j) for i < j at steps h and h/2 (see
+    :data:`TWO_CORNERS`).  One Richardson pass over steps (h, h/2) removes the
+    leading h^2 error; the result is symmetric by construction, and its
+    diagonal is bit for bit that of the four-corner stencil.  A numerically
+    singular Hessian raises :class:`DegeneratePotentialError`.  The caller
+    must keep ``x`` more than ``2 * step`` away from any boundary of ``g``'s
+    domain; the stencil reaches that far.
     """
     x = np.asarray(x, dtype=float)
     if step is None:
@@ -353,31 +398,42 @@ def scalar_curvature_abreu(
     """S = -(1/2) sum_ij d^2 G^ij / dx_i dx_j by finite differences.
 
     ``g`` maps points of shape (..., n) to values of shape (...).  The Hessian
-    G is taken by the stencil of :func:`hessian_general` at each point of an
-    outer stencil of width ``step`` around ``x``; the inner stencils of
-    consecutive outer points are evaluated together, ``STENCIL_BLOCK`` points
-    per ``g`` call at most (one outer point's stencil if that is larger).
-    Every G is checked for degeneracy and inverted, and G^{-1} is
-    differentiated on the outer stencil with one Richardson extrapolation
-    over (step, step/2).  The inner Hessian step, 1.5e-3 (1 + |x|), is wider
-    than the standalone default: the composition is a fourth derivative of g,
-    and a too-small inner step leaves rounding noise that the outer stencil
-    amplifies by 1/step^2.  Keep ``x`` more than ``4 * step`` inside the domain.
+    G is taken by the two-corner stencil of :func:`hessian_general`
+    (1 + 2 n + 2 n^2 points) at each point of an outer four-corner stencil
+    (1 + 4 n^2 points, see :data:`FOUR_CORNERS`) of width ``step`` around
+    ``x``; at n = 8 that is 257 x 145 = 37,265 points.  The outer level keeps
+    four corners because the two-corner form there costs about half a digit.
+    The inner stencils of consecutive outer points are evaluated together,
+    ``STENCIL_BLOCK`` points per ``g`` call at most (one outer point's stencil
+    if that is larger), and every block is written to one points buffer made
+    once per call, so ``g`` must not keep its argument.  Every G is checked
+    for degeneracy and inverted, and G^{-1} is differentiated on the outer
+    stencil with one Richardson extrapolation over (step, step/2).  The inner
+    Hessian step, 1.5e-3 (1 + |x|), is wider than the standalone default: the
+    composition is a fourth derivative of g, and a too-small inner step
+    leaves rounding noise that the outer stencil amplifies by 1/step^2.  Keep
+    ``x`` more than ``4 * step`` inside the domain.
     """
     x = np.asarray(x, dtype=float)
     if step is None:
         step = 0.02 * (1.0 + float(np.linalg.norm(x)))
     hessian_step = 1.5e-3 * (1.0 + float(np.linalg.norm(x)))
 
-    outer = _stencil_points(x, step)
+    outer = _stencil_points(x, step, corners=FOUR_CORNERS)
+    inner = len(_stencil_offsets(x.size, TWO_CORNERS))
+    # One buffer for every block: a fresh points array per block would be
+    # given back to the OS and faulted in again each time.
+    buffer = np.empty((min(len(outer), _block_rows(inner)), inner, x.size))
     G = _in_blocks(
-        lambda b: _richardson_combine(np.asarray(g(_stencil_points(b, hessian_step))), hessian_step),
-        len(outer),
+        lambda b: _richardson_combine(
+            np.asarray(g(_stencil_points(b, hessian_step, out=buffer[: len(b)]))), hessian_step
+        ),
+        inner,
         outer,
     )
     _, G_inv = _checked_inverse(G)
     # D[k, l, i, j] = d^2 G^kl / dx_i dx_j
-    D = _richardson_combine(np.moveaxis(G_inv, 0, -1), step)
+    D = _richardson_combine(np.moveaxis(G_inv, 0, -1), step, corners=FOUR_CORNERS)
     return -0.5 * float(np.einsum("ijij", D))
 
 
@@ -416,8 +472,9 @@ def legendre_roundtrip(f: RadialKahlerPotential, a: Sequence[float] | np.ndarray
     x_i = 2 e^{2 a_i} f'(s) against a finite-difference gradient of
     a -> f(s(a)); the duality identity f(a) + g(x) = sum a_i x_i; and the
     Hessian of f over a against the inverse Hessian of g at the image point.
-    The gradient and the Hessian come from one Richardson stencil
-    (see :func:`hessian_general`) with step ``1e-4 * (1 + max |a_i|)``.
+    The gradient and the Hessian come from one Richardson stencil, the
+    1 + 2 n + 2 n^2 points of :func:`hessian_general`, with step
+    ``1e-4 * (1 + max |a_i|)``; the gradient reads its +-e_i points at step h.
 
     ``a`` is one point of shape (n,) or a batch of shape (..., n); see
     :class:`LegendreRoundtrip` for the shapes returned.  Rows are evaluated
@@ -432,7 +489,8 @@ def legendre_roundtrip(f: RadialKahlerPotential, a: Sequence[float] | np.ndarray
         raise DomainError("a must be a nonempty vector or a batch of them")
     n = a.shape[-1]
     batch = a.shape[:-1]
-    fields = _in_blocks(lambda rows: _roundtrip_rows(f, rows), 1 + 4 * n * n, a.reshape(-1, n))
+    per_row = len(_stencil_offsets(n, TWO_CORNERS))
+    fields = _in_blocks(lambda rows: _roundtrip_rows(f, rows), per_row, a.reshape(-1, n))
     x, s, t, gradient_residual, duality_gap, hessian_residual = (
         v.reshape(batch + v.shape[1:]) for v in fields
     )
@@ -469,7 +527,7 @@ def _roundtrip_rows(f: RadialKahlerPotential, a: np.ndarray) -> tuple[np.ndarray
     h = 1e-4 * (1.0 + np.max(np.abs(a), axis=-1))
     # The stencil of a wide row exceeds the block bound by itself, so its
     # points are made, summed and evaluated STENCIL_BLOCK at a time.
-    points, chunk = 1 + 4 * n * n, max(1, STENCIL_BLOCK // len(a))
+    points, chunk = len(_stencil_offsets(n, TWO_CORNERS)), max(1, STENCIL_BLOCK // len(a))
     stencil_s = (
         np.exp(2.0 * _stencil_points(a, h, k, min(k + chunk, points))).sum(axis=-1)
         for k in range(0, points, chunk)

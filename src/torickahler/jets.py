@@ -41,7 +41,6 @@ __all__ = [
     "variable",
     "arith",
     "ln_jet",
-    "exp_jet",
     "jet_pow",
     "derivative",
 ]
@@ -276,18 +275,6 @@ def ln_jet(a: TaylorJet) -> TaylorJet:
         da = TaylorJet(a.base, tuple((i + 1) * c[i + 1] for i in range(k_max)))
         ratio = arith(da, TaylorJet(a.base, c[:k_max]), "div")
         out += [ratio.coefficients[k - 1] / k for k in range(1, k_max + 1)]
-    return TaylorJet(a.base, tuple(out))
-
-
-def exp_jet(a: TaylorJet) -> TaylorJet:
-    """Jet of ``exp(a)`` via the recursion e' = a' e."""
-    c = a.coefficients
-    out = [_elementwise(np.exp, c[0])]
-    for k in range(1, a.order + 1):
-        acc = c[1] * out[k - 1]
-        for j in range(2, k + 1):
-            acc = acc + j * c[j] * out[k - j]
-        out.append(acc / k)
     return TaylorJet(a.base, tuple(out))
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "delta_check",
     "DeltaCheckReport",
     "reconstruct_F",
-    "boundary_regularity",
 ]
 
 #: Largest relative error of the factorization that :func:`delta_check` accepts.
@@ -289,15 +288,3 @@ def reconstruct_F(pot: TPotential, t: float, anchor: float = 2.0) -> tuple[float
         f"quadrature of F'' from {anchor} to {t} not converged with {order} Gauss-Legendre nodes"
     )
 
-
-def boundary_regularity(pot: TPotential, t: float) -> float:
-    """The diagnostic r(t) = F''(t) - 1/(t - 1).
-
-    For a potential matched to the blow-up boundary, r extends continuously to
-    t = 1; the subtraction removes the simple pole that the boundary term
-    (t-1) ln(t-1) contributes.
-    """
-    t = float(t)
-    if t <= 1.0:
-        raise DomainError("the boundary diagnostic needs t > 1")
-    return f2_value(pot, t) - 1.0 / (t - 1.0)

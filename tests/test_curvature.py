@@ -375,19 +375,34 @@ def _counting(g):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_hessian_general_evaluation_count(n):
-    # Each Richardson step adds 2n^2 points around the one shared centre.
+    # Each Richardson step adds +-e_i and +-(e_i + e_j), n + n^2 pairs, around
+    # the one shared centre.
     g, points = _counting(symplectic_evaluator(fubini_study_potential()))
     hessian_general(g, np.full(n, 0.6 / n))
-    assert len(points) == 1 + 4 * n**2
+    assert len(points) == 1 + 2 * n + 2 * n**2
     assert len(set(points)) == len(points)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_abreu_evaluation_count(n):
+    # A two-corner inner Hessian at each point of the four-corner outer stencil.
     g, points = _counting(symplectic_evaluator(fubini_study_potential()))
     scalar_curvature_abreu(g, np.full(n, 0.6 / n))
-    assert len(points) == (1 + 4 * n**2) ** 2
+    assert len(points) == (1 + 4 * n**2) * (1 + 2 * n + 2 * n**2)
     assert len(set(points)) == len(points)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_hessian_general_diagonal_matches_four_corners(n):
+    # The diagonal reads only the centre and +-e_i, which both stencils share.
+    g = symplectic_evaluator(fubini_study_potential())
+    x, step = np.linspace(0.5, 0.7, n) / n, 1e-4
+    four = curvature._richardson_combine(
+        g(curvature._stencil_points(x, step, corners=curvature.FOUR_CORNERS)), step, curvature.FOUR_CORNERS
+    )
+    G = hessian_general(g, x, step).G
+    assert np.array_equal(np.diagonal(G), np.diagonal(four))
+    assert np.allclose(G, four, rtol=1e-7)
 
 
 def test_abreu_rejects_degenerate_hessian():
@@ -396,7 +411,8 @@ def test_abreu_rejects_degenerate_hessian():
 
 
 def test_abreu_evaluates_the_stencil_in_blocks():
-    # n = 8: (1 + 4 n^2)^2 = 257^2 points, at most STENCIL_BLOCK per g call.
+    # n = 8: 257 outer points x 145 inner points = 37,265, and 56 outer points
+    # (8,120 points) fit in one STENCIL_BLOCK, so 5 g calls.
     n = 8
     base = symplectic_evaluator(fubini_study_potential())
     batches = []
@@ -406,9 +422,114 @@ def test_abreu_evaluates_the_stencil_in_blocks():
         return base(x)
 
     s = scalar_curvature_abreu(g, np.full(n, 0.6 / n))
-    assert len(batches) <= math.ceil(257**2 / STENCIL_BLOCK)
-    assert sum(batches) == 257**2
+    assert STENCIL_BLOCK // 145 == 56
+    assert len(batches) == 5
+    assert sum(batches) == 257 * 145 == 37_265
+    assert max(batches) <= STENCIL_BLOCK
     assert s == pytest.approx(n * (n + 1.0), abs=1e-4 * (1.0 + n * (n + 1.0)))
+
+
+def test_abreu_blocks_share_one_points_buffer():
+    n = 8
+    base = symplectic_evaluator(fubini_study_potential())
+    batches = []
+
+    def g(x):
+        batches.append(x)
+        return base(x)
+
+    scalar_curvature_abreu(g, np.full(n, 0.6 / n))
+    assert len(batches) == 5
+    assert all(np.shares_memory(batch, batches[0]) for batch in batches)
+    assert all(batch.base is batches[0].base for batch in batches)
+
+
+def _abreu_point(rng, n: int, t_lo: float, t_hi: float) -> np.ndarray:
+    """A point more than 4 default Abreu steps inside the facets x_i = 0 and t = 1."""
+    while True:
+        t = rng.uniform(t_lo, t_hi)
+        x_min = 0.08 * (1.0 + 1.1 * t / math.sqrt(n))
+        if n * x_min >= t:
+            continue
+        x = x_min + (t - n * x_min) * rng.dirichlet(np.ones(n))
+        reach = 4 * 0.02 * (1.0 + float(np.linalg.norm(x)))
+        if x.min() > reach and abs(t - 1.0) > reach:
+            return x
+
+
+def _abreu_scaled_errors() -> dict[str, list[float]]:
+    """|S_abreu - S_reduced| / (1 + |S|) at 14 seeded points (two per n = 2..8) for each source of g.
+
+    The sources are those of the ``abreu_cross`` benchmark: Fubini-Study's
+    closed form, Burns-Simanca's Chebyshev interpolant, and the canonical
+    potential of the blow-up polytope, whose F'' is 1/(t - 1).
+    """
+    rng = np.random.default_rng(0)
+    blowup = custom_potential(lambda t, order: 1.0 / (variable(t, order) - 1.0), (1.0, math.inf), label="blowup")
+    fs = fubini_study_potential()
+    errors = {"closed_form": [], "chebyshev": [], "canonical": []}
+    for n in range(2, 9):
+        for _ in range(2):
+            for source in errors:
+                if source == "closed_form":
+                    x = _abreu_point(rng, n, 0.3, 0.9)
+                    pot, g = fs, symplectic_evaluator(fs)
+                elif source == "chebyshev":
+                    x = _abreu_point(rng, n, 1.6, 3.0 + 0.15 * n)
+                    t = float(x.sum())
+                    pot = burns_simanca_potential(n)
+                    g = symplectic_evaluator(pot, t_window=(t - 0.5, t + 0.5))
+                else:
+                    x = _abreu_point(rng, n, 1.6, 3.0 + 0.15 * n)
+                    poly = build_standard("blowup", n)
+                    pot, g = blowup, (lambda y, poly=poly: canonical_potential(poly, y))
+                S = scalar_curvature_reduced(pot, n, float(x.sum()))
+                errors[source].append(abs(scalar_curvature_abreu(g, x) - S) / (1.0 + abs(S)))
+    return errors
+
+
+#: (median, max) of the scaled error at the points of :func:`_abreu_scaled_errors`
+#: with the four-corner inner Hessian, 1 + 4 n^2 points.
+_FOUR_CORNER_ERRORS = {
+    "closed_form": (2.709e-08, 9.018e-07),
+    "chebyshev": (9.064e-07, 2.191e-05),
+    "canonical": (4.189e-07, 1.769e-06),
+}
+
+
+def _abreu_accuracy_violations(errors: dict[str, list[float]]) -> list[str]:
+    """The sources whose median exceeds 2x, or whose max exceeds 3x, the four-corner figure.
+
+    The two-corner mixed entry (1/2)[(g_++ + g_-- - g_+i - g_-i - g_+j - g_-j
+    + 2 g_0)] / s^2 sums seven rounded values of g against four, so its
+    rounding noise is sqrt(10)/2 / (1/2), about 3.2 times larger; the maximum,
+    one op at the rounding floor, may grow by that much, the median less.
+    """
+    bad = []
+    for source, values in errors.items():
+        median, worst = _FOUR_CORNER_ERRORS[source]
+        if float(np.median(values)) > 2.0 * median or max(values) > 3.0 * worst:
+            bad.append(f"{source}: median {np.median(values):.3e}, max {max(values):.3e}")
+    return bad
+
+
+def test_abreu_accuracy_holds_against_the_four_corner_inner_hessian():
+    assert _abreu_accuracy_violations(_abreu_scaled_errors()) == []
+
+
+def test_abreu_accuracy_check_fails_on_scaled_mixed_entries(monkeypatch):
+    # Inner mixed entries 0.1% too large must break the bound on every source.
+    combine = curvature._richardson_combine
+
+    def mutated(values, h, corners=curvature.TWO_CORNERS):
+        D = combine(values, h, corners)
+        if corners == curvature.TWO_CORNERS:
+            n = D.shape[-1]
+            D = D * np.where(np.eye(n, dtype=bool), 1.0, 1.001)
+        return D
+
+    monkeypatch.setattr(curvature, "_richardson_combine", mutated)
+    assert len(_abreu_accuracy_violations(_abreu_scaled_errors())) == 3
 
 
 def test_t_family_affine_shift_is_exact():
@@ -560,82 +681,112 @@ def test_legendre_roundtrip_radial_jets_per_batch(monkeypatch, samples):
     calls = _count_radial_jets(monkeypatch)
     a = np.random.default_rng(15).uniform(-0.8, 0.8, (samples, 3))
     legendre_roundtrip(fubini_study_radial(), a)
-    assert calls == [(samples,), (samples, 1 + 4 * 3**2)]
+    assert calls == [(samples,), (samples, 1 + 2 * 3 + 2 * 3**2)]
 
 
 def test_legendre_roundtrip_evaluates_rows_in_blocks(monkeypatch):
-    # n = 2: 17 stencil points per row, so a block of 40 points holds 2 rows.
+    # n = 2: 13 stencil points per row, so a block of 40 points holds 3 rows.
     a = np.random.default_rng(16).uniform(-0.8, 0.8, (7, 2))
     expected = [legendre_roundtrip(fubini_study_radial(), row) for row in a]
     monkeypatch.setattr(curvature, "STENCIL_BLOCK", 40)
     calls = _count_radial_jets(monkeypatch)
     batch = legendre_roundtrip(fubini_study_radial(), a)
-    assert [shape[0] for shape in calls] == [2, 2, 2, 2, 2, 2, 1, 1]
+    assert [shape[0] for shape in calls] == [3, 3, 3, 3, 1, 1]
     for k, one in enumerate(expected):
         for name in _ROUNDTRIP_FIELDS:
             assert np.array_equal(getattr(batch, name)[k], getattr(one, name)), name
 
 
 def test_legendre_roundtrip_chunks_a_wide_stencil(monkeypatch):
-    # n = 50: one row's stencil has 1 + 4 n^2 = 10,001 points, more than
+    # n = 70: one row's stencil has 1 + 2 n + 2 n^2 = 9,941 points, more than
     # STENCIL_BLOCK, so it is summed and evaluated in chunks under the bound.
     calls = _count_radial_jets(monkeypatch)
-    a = np.random.default_rng(17).uniform(-0.8, 0.8, 50)
+    a = np.random.default_rng(17).uniform(-0.8, 0.8, 70)
     result = legendre_roundtrip(fubini_study_radial(), a)
     assert calls[0] == (1,)
-    assert sum(math.prod(shape) for shape in calls[1:]) == 1 + 4 * 50**2
+    assert sum(math.prod(shape) for shape in calls[1:]) == 1 + 2 * 70 + 2 * 70**2
     assert max(math.prod(shape) for shape in calls[1:]) <= curvature.STENCIL_BLOCK
     assert result.hessian_residual < 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_stencil_slices_match_the_whole_stencil(n):
-    # The stencil as a dense table of unit offsets, bit for bit what any slice gives.
+    # Each stencil as a dense table of unit offsets, bit for bit what any
+    # slice gives, and what is written to a given buffer.
     x = np.random.default_rng(18).uniform(0.1, 1.0, (2, n))
     h = np.array([1e-3, 2e-3])
     eye = np.eye(n)
     i, j = np.triu_indices(n, 1)
-    unit = np.concatenate([eye, -eye, eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]])
-    offsets = np.concatenate([np.zeros((1, n)), unit, unit / 2.0])
-    whole = x[:, None, :] + offsets * h[:, None, None]
-    assert np.array_equal(curvature._stencil_points(x, h), whole)
-    parts = [curvature._stencil_points(x, h, k, min(k + 3, len(offsets))) for k in range(0, len(offsets), 3)]
-    assert np.array_equal(np.concatenate(parts, axis=1), whole)
+    two = [eye[i] + eye[j], -eye[i] - eye[j]]
+    four = [eye[i] + eye[j], eye[i] - eye[j], -eye[i] + eye[j], -eye[i] - eye[j]]
+    for corners, mixed in ((curvature.TWO_CORNERS, two), (curvature.FOUR_CORNERS, four)):
+        unit = np.concatenate([eye, -eye] + mixed)
+        offsets = np.concatenate([np.zeros((1, n)), unit, unit / 2.0])
+        whole = x[:, None, :] + offsets * h[:, None, None]
+        assert np.array_equal(curvature._stencil_points(x, h, corners=corners), whole)
+        parts = [
+            curvature._stencil_points(x, h, k, min(k + 3, len(offsets)), corners=corners)
+            for k in range(0, len(offsets), 3)
+        ]
+        assert np.array_equal(np.concatenate(parts, axis=1), whole)
+        buffer = np.full(whole.shape, np.nan)
+        assert curvature._stencil_points(x, h, corners=corners, out=buffer) is buffer
+        assert np.array_equal(buffer, whole)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_stencil_geometry_is_made_once_per_n_and_read_only(n):
-    offsets = curvature._stencil_offsets(n)
-    assert offsets is curvature._stencil_offsets(n)
-    assert offsets.shape == (1 + 4 * n * n, n)
-    assert not offsets.flags.writeable
-    with pytest.raises(ValueError):
-        offsets[1, 0] = 2.0
-    blocks, indices = curvature._richardson_layout(n)
-    assert blocks is curvature._richardson_layout(n)[0]
-    assert sum(b.stop - b.start for b in blocks) == 2 * n * n
-    for index in indices:
-        assert not index.flags.writeable
+    for corners, per_step in ((curvature.TWO_CORNERS, n + n * n), (curvature.FOUR_CORNERS, 2 * n * n)):
+        offsets = curvature._stencil_offsets(n, corners)
+        assert offsets is curvature._stencil_offsets(n, corners)
+        assert offsets.shape == (1 + 2 * per_step, n)
+        assert not offsets.flags.writeable
+        with pytest.raises(ValueError):
+            offsets[1, 0] = 2.0
+        blocks, indices = curvature._richardson_layout(n, corners)
+        assert blocks is curvature._richardson_layout(n, corners)[0]
+        assert sum(b.stop - b.start for b in blocks) == per_step
+        for index in indices:
+            assert not index.flags.writeable
+
+
+def _dense_second_differences(corners, n=3, h=1e-2):
+    """The combine of ``corners`` and the same Hessian written out entry by entry."""
+    rng = np.random.default_rng(19)
+    x = rng.uniform(0.5, 1.0, n)
+    g = symplectic_evaluator(fubini_study_potential())
+    values = g(curvature._stencil_points(x / 4.0, h, corners=corners))
+    eye = np.eye(n)
+    f = lambda d: g(x / 4.0 + d)  # noqa: E731
+
+    def diagonal(step, i):
+        return (f(step * eye[i]) - 2.0 * f(0.0 * eye[i]) + f(-step * eye[i])) / step**2
+
+    def second(step, i, j):
+        if i == j:
+            return diagonal(step, i)
+        if corners == curvature.FOUR_CORNERS:
+            return (f(step * (eye[i] + eye[j])) - f(step * (eye[i] - eye[j])) - f(step * (eye[j] - eye[i]))
+                    + f(-step * (eye[i] + eye[j]))) / (4.0 * step**2)
+        return 0.5 * (
+            (f(step * (eye[i] + eye[j])) - 2.0 * f(0.0 * eye[i]) + f(-step * (eye[i] + eye[j]))) / step**2
+            - diagonal(step, min(i, j)) - diagonal(step, max(i, j))
+        )
+
+    want = np.array([[(4.0 * second(h / 2.0, i, j) - second(h, i, j)) / 3.0 for j in range(n)] for i in range(n)])
+    return curvature._richardson_combine(values, h, corners), want
 
 
 def test_richardson_combine_matches_dense_second_differences():
-    # The cached layout against the formula written out entry by entry.
-    rng = np.random.default_rng(19)
-    n, h = 3, 1e-2
-    x = rng.uniform(0.5, 1.0, n)
-    g = symplectic_evaluator(fubini_study_potential())
-    values = g(curvature._stencil_points(x / 4.0, h))
-    eye = np.eye(n)
+    # The cached four-corner layout of Abreu's outer stencil against the formula.
+    got, want = _dense_second_differences(curvature.FOUR_CORNERS)
+    assert np.array_equal(got, want)
 
-    def second(step, i, j):
-        f = lambda d: g(x / 4.0 + d)  # noqa: E731
-        if i == j:
-            return (f(step * eye[i]) - 2.0 * f(0.0 * eye[i]) + f(-step * eye[i])) / step**2
-        return (f(step * (eye[i] + eye[j])) - f(step * (eye[i] - eye[j])) - f(step * (eye[j] - eye[i]))
-                + f(-step * (eye[i] + eye[j]))) / (4.0 * step**2)
 
-    want = np.array([[(4.0 * second(h / 2.0, i, j) - second(h, i, j)) / 3.0 for j in range(n)] for i in range(n)])
-    assert np.array_equal(curvature._richardson_combine(values, h), want)
+def test_two_corner_combine_matches_dense_second_differences():
+    # The mixed entry (1/2)[(g_++ - 2 g_0 + g_--)/s^2 - D_ii - D_jj] at each step.
+    got, want = _dense_second_differences(curvature.TWO_CORNERS)
+    assert np.array_equal(got, want)
 
 
 def test_finite_differences_refuse_a_nan_canonical_point():

@@ -14,7 +14,6 @@ from torickahler.jets import (
     arith,
     constant,
     derivative,
-    exp_jet,
     jet_pow,
     ln_jet,
     variable,
@@ -153,15 +152,6 @@ def test_leibniz_rule_for_first_derivative(ac, bc):
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-@given(st.lists(small, min_size=1, max_size=7))
-@settings(max_examples=200)
-def test_ln_inverts_exp(coeffs):
-    a = TaylorJet(0.0, tuple(coeffs))
-    back = ln_jet(exp_jet(a))
-    for got, want in zip(back.coefficients, a.coefficients):
-        assert got == pytest.approx(want, abs=1e-12)
-
-
 def test_jet_pow_matches_repeated_multiplication():
     t = variable(1.7, 5)
     cubed = jet_pow(t, 3)
@@ -255,15 +245,14 @@ def test_batched_jets_match_row_by_row(data):
             row_a = TaylorJet(float(base[r]), tuple(a_rows[r]))
             row = fn(row_a, TaylorJet(float(base[r]), tuple(b_rows[r])))
             assert [_bits(c[r]) for c in batched.coefficients] == [_bits(c) for c in row.coefficients]
-    # log and exp may round their constant term differently in numpy's vector
-    # and scalar loops; the rest of the recursion propagates it linearly.
-    for fn, jet, rows in ((ln_jet, b, b_rows), (exp_jet, a, a_rows)):
-        batched = fn(jet)
-        for r in range(len(base)):
-            row = fn(TaylorJet(float(base[r]), tuple(rows[r])))
-            scale = max(abs(c) for c in row.coefficients)
-            for c_batch, c_row in zip(batched.coefficients, row.coefficients):
-                assert abs(c_batch[r] - c_row) <= 4.0 * EPS * scale
+    # log may round its constant term differently in numpy's vector and
+    # scalar loops; the rest of the recursion propagates it linearly.
+    batched = ln_jet(b)
+    for r in range(len(base)):
+        row = ln_jet(TaylorJet(float(base[r]), tuple(b_rows[r])))
+        scale = max(abs(c) for c in row.coefficients)
+        for c_batch, c_row in zip(batched.coefficients, row.coefficients):
+            assert abs(c_batch[r] - c_row) <= 4.0 * EPS * scale
 
 
 def _repeated_product(a: TaylorJet, m: int) -> TaylorJet:

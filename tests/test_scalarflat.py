@@ -16,7 +16,6 @@ from torickahler.potentials import (
 from torickahler import curvature, scalarflat
 from torickahler.scalarflat import (
     boundary_match,
-    boundary_regularity,
     burns_simanca_potential,
     delta_check,
     reconstruct_F,
@@ -29,10 +28,6 @@ def _poly_eval(coeffs, t):
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
-
-
-def _poly_derivative(coeffs):
-    return [Fraction(k) * c for k, c in enumerate(coeffs)][1:]
 
 
 def _poly_mul(p, q):
@@ -354,36 +349,6 @@ def test_reconstruct_flat_at_anchor():
     from torickahler.potentials import flat_potential
 
     assert reconstruct_F(flat_potential(), 1.0, anchor=1.0) == (0.0, 0.0)
-
-
-def test_boundary_regularity_extends_to_one():
-    # Exact limit by polynomial calculus: r(t) = (N - t Q)/(t (t-1) Q) with both
-    # N - t Q and t (t-1) Q vanishing at 1, so the limit is the derivative ratio.
-    n = 3
-    match = solve_boundary_coefficients(n)
-    N = [match.B, match.A]
-    tQ = [Fraction(0)] + list(match.quotient)
-    numer = [a - b for a, b in zip(N + [Fraction(0)] * (len(tQ) - len(N)), tQ)]
-    denom = _poly_mul([Fraction(0), Fraction(1)], _poly_mul([Fraction(-1), Fraction(1)], list(match.quotient)))
-    assert _poly_eval(numer, Fraction(1)) == 0
-    assert _poly_eval(denom, Fraction(1)) == 0
-    limit = _poly_eval(_poly_derivative(numer), Fraction(1)) / _poly_eval(
-        _poly_derivative(denom), Fraction(1)
-    )
-
-    pot = burns_simanca_potential(n)
-    near = boundary_regularity(pot, 1.0 + 1e-6)
-    nearer = boundary_regularity(pot, 1.0 + 1e-7)
-    assert math.isfinite(near)
-    assert near == pytest.approx(float(limit), abs=1e-4)
-    # Closer to the facet the subtraction loses digits like eps/(t-1)^2, so the
-    # probe at 1e-7 only confirms continuity at its own noise floor.
-    assert nearer == pytest.approx(float(limit), abs=1e-2)
-
-
-def test_boundary_regularity_rejects_t_below_one():
-    with pytest.raises(DomainError):
-        boundary_regularity(burns_simanca_potential(3), 0.9)
 
 
 def test_reconstruct_reports_nonconvergence():

@@ -1,3 +1,4 @@
+import json
 import re
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 AB_CYCLES = ROOT / "tools" / "ab_cycles.py"
+BENCH_SUMMARY = ROOT / "tools" / "bench_summary.py"
 
 
 def test_ab_cycles_runs_one_pair_of_cycles():
@@ -26,3 +28,34 @@ def test_ab_cycles_refuses_a_root_without_the_benchmark(tmp_path):
     )
     assert proc.returncode == 2
     assert "has no perfbench/workloads.py" in proc.stderr
+
+
+def _run_record(directory: Path, seed: int, ops_per_s: float) -> None:
+    """The fields of a ``perfbench/run.py`` record that the summary reads."""
+    directory.mkdir(exist_ok=True)
+    record = {
+        "provenance": {"workload": "abreu_cross", "seed": seed},
+        "result": {"attempted": 7, "failed": 0, "metrics": {"ops_per_s": {"value": ops_per_s, "unit": "1/s"}}},
+        "failed_ops": {},
+    }
+    (directory / f"run_{seed}.json").write_text(json.dumps(record))
+
+
+def test_bench_summary_pairs_runs_and_keeps_the_ab_cycles_line(tmp_path):
+    for seed, (p, c) in enumerate([(10.0, 15.0), (11.0, 14.0), (12.0, 11.0)], start=1):
+        _run_record(tmp_path / "parent", seed, p)
+        _run_record(tmp_path / "change", seed, c)
+    log = tmp_path / "ab.txt"
+    log.write_text("pair 1: A 2.0 ms, B 1.0 ms, A/B 2.000\nabreu_cross: median A/B 2.000 over 1 pairs; B faster in 1/1\n")
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(BENCH_SUMMARY), str(tmp_path / "parent"), str(tmp_path / "change"), str(out),
+         "--ab-cycles", str(log)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(out.read_text())
+    ops = summary["workloads"]["abreu_cross"]["metrics"]["ops_per_s"]
+    assert (ops["change_wins"], ops["parent_wins"]) == (2, 1)
+    assert ops["parent"]["median"] == 11.0 and ops["change"]["median"] == 14.0
+    assert summary["ab_cycles"] == ["abreu_cross: median A/B 2.000 over 1 pairs; B faster in 1/1"]

@@ -1,6 +1,6 @@
 """Summarise paired benchmark records of a parent commit and a change into one JSON file.
 
-    python3 tools/bench_summary.py PARENT_DIR CHANGE_DIR OUT.json
+    python3 tools/bench_summary.py PARENT_DIR CHANGE_DIR OUT.json [--ab-cycles LOG ...]
 
 Each directory holds the ``run_*.json`` records that ``perfbench/run.py``
 writes to ``.bench_out/``, one per workload, seed and trace mode.  A run of
@@ -11,7 +11,9 @@ and every metric the output gives each side's median and quartiles, every
 run's value by seed, and how many pairs each side won (ties count for
 neither), with the better direction and bound from ``BENCHMARK.json``.  It
 also gives each side's attempted and failed ops, the failed ops by label,
-and the provenance of every run.
+and the provenance of every run.  Each ``--ab-cycles`` log is the saved
+output of ``tools/ab_cycles.py``; its last line, the median ratio and win
+count, goes into the output's ``ab_cycles`` list.
 """
 
 from __future__ import annotations
@@ -99,13 +101,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent_dir", type=Path)
     parser.add_argument("change_dir", type=Path)
     parser.add_argument("out", type=Path)
+    parser.add_argument("--ab-cycles", type=Path, nargs="+", default=[])
     args = parser.parse_args(argv)
     parent, change = load(args.parent_dir), load(args.change_dir)
     summary = summarise(parent, change)
     if not summary:
         print("error: no workload, seed and trace mode is recorded on both sides", file=sys.stderr)
         return 2
-    args.out.write_text(json.dumps({"workloads": summary}, indent=1) + "\n")
+    record = {"workloads": summary}
+    if args.ab_cycles:
+        record["ab_cycles"] = [log.read_text().splitlines()[-1] for log in args.ab_cycles]
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
