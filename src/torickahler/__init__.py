@@ -33,7 +33,6 @@ from .potentials import (
     TPotential,
     admissibility,
     custom_potential,
-    custom_radial,
     f2_jet,
     f2_value,
     flat_potential,

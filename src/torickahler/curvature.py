@@ -58,8 +58,8 @@ __all__ = [
 #: Most points per ``g`` call in :func:`scalar_curvature_abreu`; bounds the
 #: memory of one batch (Abreu at n = 8 needs 257 x 145 = 37,265 points: 145
 #: for each inner Hessian at each of 257 outer points).  Batched
-#: :func:`legendre_roundtrip` and :func:`~torickahler.asymptotics.chart_deviation`
-#: evaluate their rows in blocks under the same bound (see :func:`_in_blocks`).
+#: :func:`legendre_roundtrip` evaluates its rows in blocks under the same
+#: bound (see :func:`_in_blocks`).
 STENCIL_BLOCK = 8192
 
 

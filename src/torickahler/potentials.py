@@ -61,7 +61,6 @@ __all__ = [
     "HermitianMetric",
     "flat_radial",
     "fubini_study_radial",
-    "custom_radial",
     "radial_jet",
     "radial_derivatives",
     "flat_potential",
@@ -156,12 +155,6 @@ def fubini_study_radial() -> RadialKahlerPotential:
         return 0.5 * ln_jet(1.0 + variable(s, order))
 
     return RadialKahlerPotential("fubini_study", jfn)
-
-
-def custom_radial(
-    jet_fn: Callable[[float | np.ndarray, int], TaylorJet], label: str = "custom"
-) -> RadialKahlerPotential:
-    return RadialKahlerPotential(label, jet_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from torickahler.asymptotics import decay_scan
 from torickahler.errors import NonAdmissibleError
 from torickahler.jets import variable
 from torickahler.potentials import (
+    RadialKahlerPotential,
     custom_potential,
-    custom_radial,
     f2_value,
     flat_potential,
     flat_radial,
@@ -240,7 +240,7 @@ def test_criterion_10_admissibility_gates():
             sj = variable(s, order)
             return alpha * 0.5 * sj + beta * 0.5 * ln_jet(1.0 + sj)
 
-        return custom_radial(jfn, "mixture")
+        return RadialKahlerPotential("mixture", jfn)
 
     hermitian_checked = 0
     while hermitian_checked < 200:

@@ -160,6 +160,13 @@ def test_decay_json_slope(capsys):
     assert slope["measured"] == pytest.approx(-2.0, abs=0.1)
 
 
+def test_decay_past_the_range_of_f2(capsys):
+    # F''(u) ~ 1/u^2 underflows from u ~ 1e154 on; the scan still fits.
+    code, out = run(capsys, "decay", "--dim", "2", "--u-max", "1e160")
+    assert code == 0
+    assert json.loads(out)["results"][0]["measured"] == pytest.approx(-1.0, rel=1e-6)
+
+
 def test_decay_output_file(tmp_path, capsys):
     target = tmp_path / "scan.csv"
     code, _ = run(

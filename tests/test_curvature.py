@@ -23,12 +23,12 @@ from torickahler.errors import (
 from torickahler.jets import constant, variable
 from torickahler.polytope import build_standard, canonical_potential
 from torickahler.potentials import (
+    RadialKahlerPotential,
     custom_potential,
     flat_potential,
     flat_radial,
     fubini_study_potential,
     fubini_study_radial,
-    custom_radial,
     generalized_burns_potential,
     scalar_flat_family,
     symplectic_evaluator,
@@ -638,7 +638,7 @@ def test_legendre_random_points():
 
 
 def test_legendre_rejects_non_admissible():
-    falling = custom_radial(lambda s, order: -1.0 * variable(s, order), "minus_s")
+    falling = RadialKahlerPotential("minus_s", lambda s, order: -1.0 * variable(s, order))
     with pytest.raises(NonAdmissibleError):
         legendre_roundtrip(falling, [0.0, 0.0])
 
@@ -814,7 +814,7 @@ def test_one_bad_row_fails_the_whole_roundtrip_batch():
         v = variable(s, order)
         return v - 0.1 * v * v
 
-    bending = custom_radial(jet, "bending")
+    bending = RadialKahlerPotential("bending", jet)
     good = np.array([[0.0, 0.0], [-0.3, 0.1], [0.2, -0.4]])
     legendre_roundtrip(bending, good)
     with pytest.raises(NonAdmissibleError):

@@ -14,9 +14,9 @@ from torickahler.errors import (
 )
 from torickahler.jets import derivative, jet_pow, ln_jet, variable
 from torickahler.potentials import (
+    RadialKahlerPotential,
     admissibility,
     custom_potential,
-    custom_radial,
     f2_jet,
     f2_value,
     flat_potential,
@@ -196,7 +196,7 @@ def _log_radial():
         sj = variable(s, order)
         return 0.5 * sj + 0.5 * ln_jet(sj)
 
-    return custom_radial(jfn, "s_plus_log")
+    return RadialKahlerPotential("s_plus_log", jfn)
 
 
 def test_kahler_to_t_downward_bracket_exhausts():
@@ -208,7 +208,7 @@ def test_kahler_to_t_downward_bracket_exhausts():
 def test_kahler_to_t_downward_bracket_finds_the_root(monkeypatch, t):
     # f = s gives gamma = 2 s > t at s = t: the bracket halves, and the root is s = t/2.
     batches = _record_batched_radial_jets(monkeypatch)
-    result = kahler_to_t_potential(custom_radial(lambda s, order: variable(s, order), "s"), t)
+    result = kahler_to_t_potential(RadialKahlerPotential("s", lambda s, order: variable(s, order)), t)
     assert batches == [np.linspace(t / 2.0, t, 9).tolist()]  # one halving brackets the root
     assert result.s == t / 2.0
     assert result.F == t * math.log(0.5) - t
@@ -257,7 +257,7 @@ def test_kahler_to_t_newton_safeguard_on_a_steep_profile(monkeypatch, t):
     # before keeps it under 20.  gamma's roundoff, about 50 eps, never lets
     # |gamma - t| reach 2 eps t: the Newton-step stop ends the search.
     calls = _record_gamma_calls(monkeypatch)
-    steep = custom_radial(lambda s, order: 0.01 * jet_pow(variable(s, order), 50), "steep")
+    steep = RadialKahlerPotential("steep", lambda s, order: 0.01 * jet_pow(variable(s, order), 50))
     s = kahler_to_t_potential(steep, t).s
     assert s == pytest.approx(t ** (1 / 50), rel=4 * np.finfo(float).eps, abs=0.0)
     assert len(calls) - calls.index(True) - 1 <= 20
@@ -270,7 +270,7 @@ def _jump_radial():
         slope = np.where(np.asarray(s) < 1.0, 0.5, 1.0)
         return (slope if slope.ndim else float(slope)) * variable(s, order)
 
-    return custom_radial(jfn, "jump")
+    return RadialKahlerPotential("jump", jfn)
 
 
 def test_kahler_to_t_refuses_a_root_it_cannot_reach(monkeypatch):
@@ -284,7 +284,7 @@ def test_kahler_to_t_refuses_a_root_it_cannot_reach(monkeypatch):
 
 
 def test_kahler_to_t_rejects_decreasing_profile():
-    falling = custom_radial(lambda s, order: -1.0 * variable(s, order), "minus_s")
+    falling = RadialKahlerPotential("minus_s", lambda s, order: -1.0 * variable(s, order))
     with pytest.raises(NonAdmissibleError):
         kahler_to_t_potential(falling, 2.0)
 
@@ -303,7 +303,7 @@ def _dipping_radial():
         sj = variable(s, order)
         return 0.5 * sj - 0.5 * sj * sj + (1.26 / 6.0) * sj * sj * sj
 
-    return custom_radial(jfn, "dipping")
+    return RadialKahlerPotential("dipping", jfn)
 
 
 def _record_batched_radial_jets(monkeypatch) -> list:
@@ -350,7 +350,7 @@ def _mixture_radial(alpha: float, beta: float):
         sj = variable(s, order)
         return alpha * 0.5 * sj + beta * 0.5 * ln_jet(1.0 + sj)
 
-    return custom_radial(jfn, "mixture")
+    return RadialKahlerPotential("mixture", jfn)
 
 
 def test_gamma_monotonicity_matches_radial_admissibility():
@@ -407,7 +407,7 @@ def test_hermitian_fubini_study_eigenvalues():
 
 
 def test_hermitian_decreasing_profile_not_posdef():
-    falling = custom_radial(lambda s, order: -1.0 * variable(s, order), "minus_s")
+    falling = RadialKahlerPotential("minus_s", lambda s, order: -1.0 * variable(s, order))
     assert not hermitian_metric(falling, [1.0, 1.0]).posdef
 
 
