@@ -26,7 +26,6 @@ from .polytope import (
     DelzantPolytope,
     build_standard,
     canonical_potential,
-    facet_values,
 )
 from .potentials import (
     RadialKahlerPotential,

@@ -44,8 +44,7 @@ class DecayReport:
 
     ``leading_coefficient`` is ``u^(-expected_slope) * deviation``, taken in
     log space at the largest ``u`` of the fit, where ``F''`` is still a normal
-    float; it tends to ``n - 1`` for the blow-up metric, and is 0.0 for a
-    flat scan.
+    float; it tends to ``n - 1`` for the blow-up metric.
     """
 
     n: int
@@ -99,9 +98,10 @@ def decay_scan(
     fit drops the first decade of u (transient constants) and every sample
     where F'' = deviation/u is not a normal float, and fits
     ``ln d = p ln u + k + c/u``: the ``c/u`` column takes up the first
-    correction of the decay, which would otherwise bias the slope p.  If every
-    deviation is exactly zero the metric is flat and the slope is reported as
-    NaN; having fewer than three points to fit otherwise is an error.
+    correction of the decay, which would otherwise bias the slope p.  Fewer
+    than three points to fit raise :class:`DecayFitError`, whether F'' has
+    underflowed there or is zero, as for a flat metric: a deviation that is
+    not a normal float does not tell the two apart.
     """
     if not u_min > 1.0:
         raise DomainError("u_min must exceed 1")
@@ -126,8 +126,6 @@ def decay_scan(
         slope = float(np.linalg.lstsq(columns, log_d, rcond=None)[0][0])
         with np.errstate(over="ignore"):  # inf where the deviation decays slower than u^(1-n)
             leading = float(np.exp(log_d[-1] + (n - 1) * log_u[-1]))
-    elif not deviations.any():
-        slope, leading = math.nan, 0.0
     else:
         raise DecayFitError(
             f"only {np.count_nonzero(fit)} samples past the first decade with a normal F''; cannot fit a slope"

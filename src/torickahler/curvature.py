@@ -16,9 +16,11 @@ Hessian field.  Agreement of the two routes is the package's main
 cross-check.
 
 A potential evaluator ``g`` maps points of shape ``(..., n)`` to values of
-shape ``(...)``.  The finite differences build their stencil points as one
-array and evaluate ``g`` on whole blocks of them at once;
-:func:`legendre_roundtrip` takes a batch of points the same way.
+shape ``(...)``.  Every finite-difference Hessian of a black-box ``g`` goes
+through :func:`hessian_general`, which takes one point or a batch and
+evaluates ``g`` on whole blocks of stencil points at once; Abreu's inner
+level is one such batch.  :func:`legendre_roundtrip` differentiates a radial
+profile on the same stencil, but in s = sum e^{2 a_i}, with no point in a.
 """
 
 from __future__ import annotations
@@ -55,11 +57,12 @@ __all__ = [
     "legendre_roundtrip",
 ]
 
-#: Most points per ``g`` call in :func:`scalar_curvature_abreu`; bounds the
+#: Most stencil points per ``g`` call in :func:`hessian_general`; bounds the
 #: memory of one batch (Abreu at n = 8 needs 257 x 145 = 37,265 points: 145
 #: for each inner Hessian at each of 257 outer points).  Batched
 #: :func:`legendre_roundtrip` evaluates its rows in blocks under the same
-#: bound (see :func:`_in_blocks`).
+#: bound (see :func:`_in_blocks`); a point whose stencil alone is larger is
+#: a block of its own.
 STENCIL_BLOCK = 8192
 
 
@@ -85,13 +88,18 @@ def _in_blocks(fn: Callable, per_row: int, *rows: np.ndarray):
 
 @dataclass(frozen=True)
 class HessianEval:
-    """Hessian data of a symplectic potential at one action point."""
+    """Hessian data of a symplectic potential at one action point or a batch.
+
+    For one point ``x`` has shape (n,), ``G`` and ``G_inv`` (n, n), and the
+    other fields are a float and a bool; for a batch (rows, n) every field
+    gains a leading axis of length rows.
+    """
 
     x: np.ndarray
     G: np.ndarray
     G_inv: np.ndarray
-    det_G_inv: float
-    posdef: bool
+    det_G_inv: float | np.ndarray
+    posdef: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -171,80 +179,69 @@ FOUR_CORNERS = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
 TWO_CORNERS = ((1.0, 1.0), (-1.0, -1.0))
 
 
-@functools.cache
-def _stencil_offsets(n: int, corners: tuple) -> np.ndarray:
-    """The offsets of :func:`_stencil_points` at unit step, shape (points, n), read-only.
+class _Stencil:
+    """The second-difference stencil of one dimension and corner set; :func:`_stencil` makes it once.
 
-    Row 0 is the centre, then the offsets at step 1 and the same at step 1/2,
-    each block ordered +e_i, -e_i (i = 0..n-1), then a e_i + b e_j over i < j
-    for each corner (a, b) of ``corners`` in turn.  That is 1 + 2 n + 2 n^2
-    rows for ``TWO_CORNERS`` and 1 + 4 n^2 for ``FOUR_CORNERS``.  Made once
-    per n and corner set.
+    Point 0 is the centre, then come the points at unit step and the same at
+    step 1/2, each block ordered +e_i, -e_i (i = 0..n-1), then a e_i + b e_j
+    over i < j for each corner (a, b) in turn: 1 + 2 n + 2 n^2 points for
+    ``TWO_CORNERS`` and 1 + 4 n^2 for ``FOUR_CORNERS``.  Point k moves
+    ``first_step[k]`` along axis ``first[k]`` and ``second_step[k]`` along
+    axis ``second[k]``; a step is 0 where the point has no such move.
+    ``blocks`` slice one step's values (+e_i, -e_i, then one block per
+    corner); ``diag``, ``upper`` and ``lower`` are flat indices into an n x n
+    matrix, and ``i``, ``j`` the pairs i < j of the mixed blocks.  Every
+    array is read-only.
     """
-    i, j = np.triu_indices(n, 1)
-    m, axis, c = len(i), np.arange(n), len(corners)
-    first, second = np.concatenate([axis, axis] + [i] * c), np.concatenate([axis, axis] + [j] * c)
-    counts = [n, n] + [m] * c
-    first_sign = np.repeat([1.0, -1.0] + [a for a, _ in corners], counts)
-    second_sign = np.repeat([0.0, 0.0] + [b for _, b in corners], counts)
-    per_step = 2 * n + c * m
-    k = np.arange(1, 1 + 2 * per_step)
-    unit = (k - 1) % per_step
-    scale = np.where(k > per_step, 0.5, 1.0)
-    offsets = np.zeros((1 + 2 * per_step, n))
-    offsets[k, first[unit]] = first_sign[unit] * scale
-    offsets[k, second[unit]] += second_sign[unit] * scale
-    offsets.flags.writeable = False
-    return offsets
+
+    def __init__(self, n: int, corners: tuple):
+        i, j = np.triu_indices(n, 1)
+        axis, counts = np.arange(n), [n, n] + [len(i)] * len(corners)
+        first, second = (np.concatenate([axis, axis] + [k] * len(corners)) for k in (i, j))
+        first_step = np.repeat([1.0, -1.0] + [a for a, _ in corners], counts)
+        second_step = np.repeat([0.0, 0.0] + [b for _, b in corners], counts)
+        self.n = n
+        self.first, self.second = np.concatenate([[0], first, first]), np.concatenate([[0], second, second])
+        self.first_step = np.concatenate([[0.0], first_step, 0.5 * first_step])
+        self.second_step = np.concatenate([[0.0], second_step, 0.5 * second_step])
+        bounds = np.cumsum([0] + counts).tolist()
+        self.blocks = tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
+        self.diag, self.upper, self.lower, self.i, self.j = axis * (n + 1), i * n + j, j * n + i, i, j
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """The points at unit step as a dense table, shape (points, n); made on first use only."""
+        k = np.arange(len(self.first))
+        offsets = np.zeros((len(k), self.n))
+        offsets[k, self.first] = self.first_step
+        offsets[k, self.second] += self.second_step
+        offsets.flags.writeable = False
+        return offsets
 
 
-def _stencil_points(
-    x: np.ndarray,
-    h: float | np.ndarray,
-    start: int = 0,
-    stop: int | None = None,
-    *,
-    corners: tuple = TWO_CORNERS,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """The points of the second-difference stencil around each centre, or its points start..stop.
+_stencil = functools.cache(_Stencil)
+
+
+def _stencil_points(x: np.ndarray, h: float, *, corners: tuple = TWO_CORNERS, out=None) -> np.ndarray:
+    """The points of the second-difference stencil around each centre.
 
     ``x`` has shape (..., n) and the result (..., points, n): the centre,
     then the points at step h and the same at step h/2, in the order of
-    :func:`_stencil_offsets` for ``corners``.  Every point is distinct.
-    ``h`` is one step for every centre, or an array of x's batch shape (...)
-    with a step per centre.  A slice of the stencil is built without the rest
-    of it; every point is the same, bit for bit, whatever slice it comes from.
-    The points are written to ``out`` if it is given, so that one buffer can
-    serve a run of blocks.
+    :class:`_Stencil` for ``corners``.  Every point is distinct.  The points
+    are written to ``out`` if it is given, so that one buffer can serve a run
+    of blocks.
     """
-    offsets = _stencil_offsets(x.shape[-1], corners)[start:stop]
+    offsets = _stencil(x.shape[-1], corners).offsets
     if out is None:
         out = np.empty(x.shape[:-1] + offsets.shape)
     # Scaled offsets first, then x added in place: adding the broadcast x
     # into a fresh array is about a third slower at n = 8, for the same bits.
-    np.multiply(offsets, np.expand_dims(h, (-2, -1)), out=out)
+    np.multiply(offsets, h, out=out)
     out += x[..., None, :]
     return out
-
-
-@functools.cache
-def _richardson_layout(n: int, corners: tuple) -> tuple:
-    """Where :func:`_richardson_combine` reads and writes, made once per n and corner set.
-
-    The slices of one step's stencil values (+e_i, -e_i, then one mixed block
-    per corner), the flat indices, into an n x n matrix, of its diagonal, its
-    upper and its lower triangle, and the pairs (i, j), i < j, of the mixed
-    blocks.
-    """
-    m = n * (n - 1) // 2
-    bounds = np.cumsum([0, n, n] + [m] * len(corners)).tolist()
-    blocks = tuple(slice(a, b) for a, b in zip(bounds, bounds[1:]))
-    i, j = np.triu_indices(n, 1)
-    indices = (np.arange(n) * (n + 1), i * n + j, j * n + i, i, j)
-    for index in indices:
-        index.flags.writeable = False
-    return blocks, indices
 
 
 def _richardson_combine(values: np.ndarray, h: float | np.ndarray, corners: tuple = TWO_CORNERS) -> np.ndarray:
@@ -263,7 +260,9 @@ def _richardson_combine(values: np.ndarray, h: float | np.ndarray, corners: tupl
     # over c is n^2 (c = 4) or n^2 + n (c = 2), and its integer root is n.
     per_step = (values.shape[-1] - 1) // 2
     n = math.isqrt(2 * per_step // len(corners))
-    (plus, minus, *mixed), (diag, upper, lower, i, j) = _richardson_layout(n, corners)
+    stencil = _stencil(n, corners)
+    plus, minus, *mixed = stencil.blocks
+    diag, upper, lower, i, j = stencil.diag, stencil.upper, stencil.lower, stencil.i, stencil.j
     center = values[..., :1]
 
     def at(step_values: np.ndarray, step: float) -> np.ndarray:
@@ -304,32 +303,48 @@ def _checked_inverse(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hessian_general(
-    g: Callable[[np.ndarray], np.ndarray], x: Sequence[float], step: float | None = None
+    g: Callable[[np.ndarray], np.ndarray], x: Sequence[float] | np.ndarray, step: float | None = None
 ) -> HessianEval:
-    """Hessian of an arbitrary potential evaluator by central differences.
+    """Hessian of an arbitrary potential evaluator by central differences, at one point or a batch.
 
-    ``g`` maps points of shape (..., n) to values of shape (...); it is called
-    once, on the 1 + 2 n + 2 n^2 points of the two-corner stencil: the centre,
-    +-e_i and +-(e_i + e_j) for i < j at steps h and h/2 (see
-    :data:`TWO_CORNERS`).  One Richardson pass over steps (h, h/2) removes the
-    leading h^2 error; the result is symmetric by construction, and its
-    diagonal is bit for bit that of the four-corner stencil.  A numerically
-    singular Hessian raises :class:`DegeneratePotentialError`.  The caller
-    must keep ``x`` more than ``2 * step`` away from any boundary of ``g``'s
+    ``x`` is one point of shape (n,) or a batch of shape (rows, n); see
+    :class:`HessianEval` for the shapes returned.  ``g`` maps points of shape
+    (..., n) to values of shape (...).  Each Hessian reads the
+    1 + 2 n + 2 n^2 points of the two-corner stencil: the centre, +-e_i and
+    +-(e_i + e_j) for i < j at steps h and h/2 (see :data:`TWO_CORNERS`).
+    The stencils of consecutive points are evaluated together, at most
+    ``STENCIL_BLOCK`` points per ``g`` call (one point's stencil if that is
+    larger), each block written to one points buffer made once per call, so
+    ``g`` must not keep its argument.  One Richardson pass over steps
+    (h, h/2) removes the leading h^2 error; the result is symmetric by
+    construction, and its diagonal is bit for bit that of the four-corner
+    stencil.  ``step`` is one h for every point, by default
+    ``max(1e-4, 1e-4 |x|)`` for the largest |x| of the batch.  A non-finite
+    or numerically singular Hessian raises :class:`DegeneratePotentialError`;
+    ``det_G_inv`` and ``posdef`` come from the eigenvalues of that check.
+    Keep ``x`` more than ``2 * step`` away from any boundary of ``g``'s
     domain; the stencil reaches that far.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise DomainError("x must be a nonempty point (n,) or batch of points (rows, n)")
     if step is None:
-        step = max(1e-4, 1e-4 * float(np.linalg.norm(x)))
-    G = _richardson_combine(np.asarray(g(_stencil_points(x, step))), step)
+        step = max(1e-4, 1e-4 * float(np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=-1).max()))
+    n, rows = x.shape[-1], np.atleast_2d(x)
+    per_row = 1 + 2 * n + 2 * n**2
+    # One buffer for every block: a fresh points array per block would be
+    # given back to the OS and faulted in again each time.
+    buffer = np.empty((min(len(rows), _block_rows(per_row)), per_row, n))
+    G = _in_blocks(
+        lambda b: _richardson_combine(np.asarray(g(_stencil_points(b, step, out=buffer[: len(b)]))), step),
+        per_row,
+        rows,
+    ).reshape(x.shape + (n,))
     eigenvalues, G_inv = _checked_inverse(G)
-    return HessianEval(
-        x=x,
-        G=G,
-        G_inv=G_inv,
-        det_G_inv=float(np.linalg.det(G_inv)),
-        posdef=bool(eigenvalues[0] > 0.0),
-    )
+    det_G_inv, posdef = 1.0 / np.prod(eigenvalues, axis=-1), eigenvalues[..., 0] > 0.0
+    if x.ndim == 1:
+        det_G_inv, posdef = float(det_G_inv), bool(posdef)
+    return HessianEval(x=x, G=G, G_inv=G_inv, det_G_inv=det_G_inv, posdef=posdef)
 
 
 def scalar_curvature_reduced(pot: TPotential, n: int, t: float | np.ndarray) -> float | np.ndarray:
@@ -397,41 +412,25 @@ def scalar_curvature_abreu(
 ) -> float:
     """S = -(1/2) sum_ij d^2 G^ij / dx_i dx_j by finite differences.
 
-    ``g`` maps points of shape (..., n) to values of shape (...).  The Hessian
-    G is taken by the two-corner stencil of :func:`hessian_general`
-    (1 + 2 n + 2 n^2 points) at each point of an outer four-corner stencil
-    (1 + 4 n^2 points, see :data:`FOUR_CORNERS`) of width ``step`` around
-    ``x``; at n = 8 that is 257 x 145 = 37,265 points.  The outer level keeps
-    four corners because the two-corner form there costs about half a digit.
-    The inner stencils of consecutive outer points are evaluated together,
-    ``STENCIL_BLOCK`` points per ``g`` call at most (one outer point's stencil
-    if that is larger), and every block is written to one points buffer made
-    once per call, so ``g`` must not keep its argument.  Every G is checked
-    for degeneracy and inverted, and G^{-1} is differentiated on the outer
-    stencil with one Richardson extrapolation over (step, step/2).  The inner
-    Hessian step, 1.5e-3 (1 + |x|), is wider than the standalone default: the
-    composition is a fourth derivative of g, and a too-small inner step
-    leaves rounding noise that the outer stencil amplifies by 1/step^2.  Keep
-    ``x`` more than ``4 * step`` inside the domain.
+    ``g`` maps points of shape (..., n) to values of shape (...).  The inverse
+    Hessian G^{-1} is taken by one :func:`hessian_general` call on the batch
+    of an outer four-corner stencil (1 + 4 n^2 points, see
+    :data:`FOUR_CORNERS`) of width ``step`` around ``x``, so ``g`` sees that
+    call's blocks and its one reused points buffer; at n = 8 that is
+    257 x 145 = 37,265 points.  The outer level keeps four corners because
+    the two-corner form there costs about half a digit.  G^{-1} is
+    differentiated on the outer stencil with one Richardson extrapolation
+    over (step, step/2).  The inner Hessian step, 1.5e-3 (1 + |x|), is wider
+    than the standalone default: the composition is a fourth derivative of
+    g, and a too-small inner step leaves rounding noise that the outer
+    stencil amplifies by 1/step^2.  Keep ``x`` more than ``4 * step`` inside
+    the domain.
     """
     x = np.asarray(x, dtype=float)
     if step is None:
         step = 0.02 * (1.0 + float(np.linalg.norm(x)))
     hessian_step = 1.5e-3 * (1.0 + float(np.linalg.norm(x)))
-
-    outer = _stencil_points(x, step, corners=FOUR_CORNERS)
-    inner = len(_stencil_offsets(x.size, TWO_CORNERS))
-    # One buffer for every block: a fresh points array per block would be
-    # given back to the OS and faulted in again each time.
-    buffer = np.empty((min(len(outer), _block_rows(inner)), inner, x.size))
-    G = _in_blocks(
-        lambda b: _richardson_combine(
-            np.asarray(g(_stencil_points(b, hessian_step, out=buffer[: len(b)]))), hessian_step
-        ),
-        inner,
-        outer,
-    )
-    _, G_inv = _checked_inverse(G)
+    G_inv = hessian_general(g, _stencil_points(x, step, corners=FOUR_CORNERS), hessian_step).G_inv
     # D[k, l, i, j] = d^2 G^kl / dx_i dx_j
     D = _richardson_combine(np.moveaxis(G_inv, 0, -1), step, corners=FOUR_CORNERS)
     return -0.5 * float(np.einsum("ijij", D))
@@ -472,25 +471,28 @@ def legendre_roundtrip(f: RadialKahlerPotential, a: Sequence[float] | np.ndarray
     x_i = 2 e^{2 a_i} f'(s) against a finite-difference gradient of
     a -> f(s(a)); the duality identity f(a) + g(x) = sum a_i x_i; and the
     Hessian of f over a against the inverse Hessian of g at the image point.
-    The gradient and the Hessian come from one Richardson stencil, the
-    1 + 2 n + 2 n^2 points of :func:`hessian_general`, with step
-    ``1e-4 * (1 + max |a_i|)``; the gradient reads its +-e_i points at step h.
+    Both derivatives read f on the 1 + 2 n + 2 n^2 points of
+    :func:`hessian_general`'s stencil, with step h = ``1e-4 * (1 + max |a_i|)``,
+    and never form a point in a: f depends on a only through
+    s = sum e^{2 a_i}, and a point that moves a_i by d and a_j by d' has
+    s + e^{2 a_i} expm1(2 d) + e^{2 a_j} expm1(2 d').  The Hessian is the
+    Richardson step of :func:`hessian_general`; the gradient is
+    (4 D(h/2) - D(h)) / 3 from the central differences D at the +-e_i points
+    of both steps.
 
     ``a`` is one point of shape (n,) or a batch of shape (..., n); see
     :class:`LegendreRoundtrip` for the shapes returned.  Rows are evaluated
     in blocks of at most ``STENCIL_BLOCK`` stencil points, each block with one
     radial jet at s and one on its stencil; a row whose stencil alone is
-    larger has its stencil made and evaluated in chunks under the same bound.
-    A row where the profile is not admissible, or whose Hessian is
-    numerically singular, fails the batch.
+    larger is a block of its own.  A row where the profile is not
+    admissible, or whose Hessian is numerically singular, fails the batch.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 0 or a.size == 0:
         raise DomainError("a must be a nonempty vector or a batch of them")
     n = a.shape[-1]
     batch = a.shape[:-1]
-    per_row = len(_stencil_offsets(n, TWO_CORNERS))
-    fields = _in_blocks(lambda rows: _roundtrip_rows(f, rows), per_row, a.reshape(-1, n))
+    fields = _in_blocks(lambda rows: _roundtrip_rows(f, rows), 1 + 2 * n + 2 * n**2, a.reshape(-1, n))
     x, s, t, gradient_residual, duality_gap, hessian_residual = (
         v.reshape(batch + v.shape[1:]) for v in fields
     )
@@ -525,15 +527,17 @@ def _roundtrip_rows(f: RadialKahlerPotential, a: np.ndarray) -> tuple[np.ndarray
     t = x.sum(axis=-1)
 
     h = 1e-4 * (1.0 + np.max(np.abs(a), axis=-1))
-    # The stencil of a wide row exceeds the block bound by itself, so its
-    # points are made, summed and evaluated STENCIL_BLOCK at a time.
-    points, chunk = len(_stencil_offsets(n, TWO_CORNERS)), max(1, STENCIL_BLOCK // len(a))
-    stencil_s = (
-        np.exp(2.0 * _stencil_points(a, h, k, min(k + chunk, points))).sum(axis=-1)
-        for k in range(0, points, chunk)
-    )
-    values = np.concatenate([radial_jet(f, s_k, 0).value for s_k in stencil_s], axis=-1)
-    grad = (values[:, 1 : 1 + n] - values[:, 1 + n : 1 + 2 * n]) / (2.0 * h[:, None])
+    stencil = _stencil(n, TWO_CORNERS)
+    two_h = 2.0 * h[:, None]
+    # f sees a only through s, and a move of a_i by d adds e^{2 a_i} expm1(2 d) to s.
+    stencil_s = s[:, None] + e2a[:, stencil.first] * np.expm1(two_h * stencil.first_step)
+    stencil_s += e2a[:, stencil.second] * np.expm1(two_h * stencil.second_step)
+    values = radial_jet(f, stencil_s, 0).value
+    plus, minus = stencil.blocks[:2]
+    coarse, fine = values[:, 1 : 1 + n + n * n], values[:, 1 + n + n * n :]
+    grad = (
+        4.0 * (fine[:, plus] - fine[:, minus]) / h[:, None] - (coarse[:, plus] - coarse[:, minus]) / two_h
+    ) / 3.0
     gradient_residual = np.max(np.abs(grad - x), axis=-1)
 
     dual = _legendre_relations(s, t, f0, f1, f2)

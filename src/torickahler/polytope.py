@@ -5,11 +5,11 @@ with primitive integer inward normals ``u_i``.  Three standard families are
 built in: the positive orthant, the standard simplex, and the orthant with its
 corner vertex truncated (the one-point blow-up).
 
-Facet functionals, :func:`facet_values` and :func:`canonical_potential` take
-points of shape ``(..., n)``: one point or a whole batch in one call.  Every sum
-over coordinates or facets runs left to right, one column of the batch at a
-time (see :func:`row_sum`), so a point gives the same bits alone as inside a
-batch.
+Facet functionals and :func:`canonical_potential` take points of shape
+``(..., n)``: one point or a whole batch in one call.  Every sum over
+coordinates or facets runs left to right, one column of the batch at a time
+(see :func:`row_sum`), so a point gives the same bits alone as inside a
+batch.  A point is interior where every facet functional is positive.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "AffineFunctional",
     "DelzantPolytope",
     "build_standard",
-    "facet_values",
     "canonical_potential",
     "row_sum",
 ]
@@ -125,14 +124,6 @@ def build_standard(kind: str, n: int) -> DelzantPolytope:
     return DelzantPolytope(n, facets, label=kind)
 
 
-def facet_values(poly: DelzantPolytope, x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Every facet functional at ``x`` (shape ``(..., n)``), stacked on a last axis.
-
-    All positive means interior.
-    """
-    return np.stack([facet(x) for facet in poly.facets], axis=-1)
-
-
 def canonical_potential(poly: DelzantPolytope, x: Sequence[float] | np.ndarray) -> np.ndarray:
     """The convex function (1/2) sum_i l_i(x) ln l_i(x) on the interior.
 
@@ -140,8 +131,7 @@ def canonical_potential(poly: DelzantPolytope, x: Sequence[float] | np.ndarray) 
     a float.  Every point must be at least ``BOUNDARY_CUTOFF`` inside and every
     facet value finite, or :class:`NearBoundaryError` is raised; an empty batch
     raises :class:`DomainError`.  The terms are added facet by facet, left to
-    right, in the order in which :func:`row_sum` adds the columns of
-    :func:`facet_values`.
+    right in the order of ``poly.facets``, as :func:`row_sum` adds columns.
     """
     x = np.asarray(x, dtype=float)
     if x.size == 0:

@@ -83,11 +83,11 @@ def test_decay_slope_n3():
     assert report.fitted_slope == pytest.approx(-2.0, abs=0.1)
 
 
-def test_decay_flat_metric_sits_at_floor():
-    report = decay_scan(2, 10.0, 1e6, 16, pot=flat_potential())
-    assert all(d < 1e-12 for _, d in report.samples)
-    assert math.isnan(report.fitted_slope)
-    assert report.leading_coefficient == 0.0
+def test_decay_flat_metric_cannot_be_fitted():
+    # F'' = 0 leaves no sample with a normal F'', the same as an F'' that has
+    # underflowed; neither has a slope to fit.
+    with pytest.raises(DecayFitError, match="only 0 samples"):
+        decay_scan(2, 10.0, 1e6, 16, pot=flat_potential())
 
 
 def test_decay_deviations_decrease():

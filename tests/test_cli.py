@@ -167,6 +167,18 @@ def test_decay_past_the_range_of_f2(capsys):
     assert json.loads(out)["results"][0]["measured"] == pytest.approx(-1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--dim", "200"], ["--dim", "2", "--u-min", "1e300", "--u-max", "1e305"]],
+    ids=["dim200", "u_past_1e300"],
+)
+def test_decay_with_every_f2_underflowed_exits_two(capsys, argv):
+    # No sample has a normal F'', so there is no slope to fit: a value outside
+    # the domain (2), not a failed check (1).
+    assert dispatch(["decay", *argv]) == 2
+    assert "cannot fit a slope" in capsys.readouterr().err
+
+
 def test_decay_output_file(tmp_path, capsys):
     target = tmp_path / "scan.csv"
     code, _ = run(
@@ -284,8 +296,9 @@ def test_runtime_imports_no_scipy():
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_legendre_report_does_not_depend_on_the_stencil_chunk(monkeypatch, tmp_path, dim):
-    # A stencil bound of 5 points splits every row's 1 + 4 n^2 stencil into
-    # chunks; each point's sum and jet are the same, so the report is too.
+    # A stencil bound of 5 points makes each of the 20 rows a block of its
+    # own, one jet on its 1 + 2 n + 2 n^2 stencil values; a row gives the same
+    # bits as inside a larger block, so the report is the same too.
     argv = ["legendre", "--potential", "fubini_study", "--dim", str(dim), "--seed", "4"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert dispatch(argv + ["--output", str(tmp_path / "whole.json")]) == 0
@@ -299,7 +312,7 @@ def test_legendre_report_does_not_depend_on_the_stencil_chunk(monkeypatch, tmp_p
 
         monkeypatch.setattr(curvature, "radial_jet", recording)
         assert dispatch(argv + ["--output", str(tmp_path / "chunked.json")]) == 0
-    assert max(sizes) <= 5
+    assert sizes == [1 + 2 * dim + 2 * dim**2] * 20
     assert (tmp_path / "chunked.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
 

@@ -405,6 +405,44 @@ def test_hessian_general_diagonal_matches_four_corners(n):
     assert np.allclose(G, four, rtol=1e-7)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_batched_hessian_general_matches_row_by_row(monkeypatch, n):
+    g = symplectic_evaluator(fubini_study_potential())
+    x = np.random.default_rng(20).uniform(0.5, 1.0, (7, n)) * (0.8 / n)
+    batch = hessian_general(g, x, 1e-4)
+    assert batch.G.shape == batch.G_inv.shape == (7, n, n)
+    assert batch.det_G_inv.shape == batch.posdef.shape == (7,) and batch.posdef.all()
+    for k, row in enumerate(x):
+        one = hessian_general(g, row, 1e-4)
+        assert isinstance(one.det_G_inv, float) and isinstance(one.posdef, bool)
+        assert np.array_equal(batch.G[k], one.G) and np.array_equal(batch.G_inv[k], one.G_inv)
+        assert batch.det_G_inv[k] == one.det_G_inv == pytest.approx(np.linalg.det(one.G_inv), rel=1e-12)
+    # The default step is the one for the largest |x| of the batch.
+    step = max(1e-4, 1e-4 * float(np.linalg.norm(x, axis=-1).max()))
+    assert np.array_equal(hessian_general(g, x).G[0], hessian_general(g, x[0], step).G)
+    # A point whose stencil exceeds the block bound is a block of its own.
+    monkeypatch.setattr(curvature, "STENCIL_BLOCK", 5)
+    shapes = []
+    assert np.array_equal(hessian_general(lambda p: shapes.append(p.shape) or g(p), x, 1e-4).G, batch.G)
+    assert shapes == [(1, 1 + 2 * n + 2 * n**2, n)] * 7
+    with pytest.raises(DomainError):
+        hessian_general(g, np.zeros((0, n)))
+
+
+def test_abreu_takes_its_inner_hessians_in_one_hessian_general_call(monkeypatch):
+    calls = []
+    original = curvature.hessian_general
+
+    def counted(g, x, step=None):
+        calls.append((np.shape(x), step))
+        return original(g, x, step)
+
+    monkeypatch.setattr(curvature, "hessian_general", counted)
+    n, x = 3, np.full(3, 0.2)
+    scalar_curvature_abreu(symplectic_evaluator(fubini_study_potential()), x)
+    assert calls == [((1 + 4 * n**2, n), 1.5e-3 * (1.0 + float(np.linalg.norm(x))))]
+
+
 def test_abreu_rejects_degenerate_hessian():
     with pytest.raises(DegeneratePotentialError):
         scalar_curvature_abreu(lambda x: x[..., 0] ** 2, [1.0, 1.0])
@@ -697,24 +735,45 @@ def test_legendre_roundtrip_evaluates_rows_in_blocks(monkeypatch):
             assert np.array_equal(getattr(batch, name)[k], getattr(one, name)), name
 
 
-def test_legendre_roundtrip_chunks_a_wide_stencil(monkeypatch):
+def _roundtrip_worst(profile, field: str) -> float:
+    """The largest ``field`` of the roundtrip over n = 2..8 and 40 seeds of 20 rows each."""
+    rows = [np.random.default_rng(seed).uniform(-0.8, 0.8, (20, n)) for n in range(2, 9) for seed in range(40)]
+    return max(float(np.max(getattr(legendre_roundtrip(profile, a), field))) for a in rows)
+
+
+def test_flat_roundtrip_hessian_residual_is_bounded():
+    # Each stencil point's s is s plus at most two increments e^{2 a_i}
+    # expm1(2 d), so all of them share the rounding of s; forming the points
+    # in a and summing e^{2 a} again reached 9.1e-7 here.
+    assert _roundtrip_worst(flat_radial(), "hessian_residual") < 5e-7
+
+
+@pytest.mark.parametrize("profile", [flat_radial(), fubini_study_radial()], ids=lambda f: f.label)
+def test_roundtrip_gradient_is_richardson_extrapolated(profile):
+    # (4 D(h/2) - D(h)) / 3 from the +-e_i values of both steps; the central
+    # difference at step h alone was off by up to 1.07e-7 (flat).
+    assert _roundtrip_worst(profile, "gradient_residual") < 1e-9
+
+
+def test_legendre_roundtrip_takes_a_wide_row_in_one_jet(monkeypatch):
     # n = 70: one row's stencil has 1 + 2 n + 2 n^2 = 9,941 points, more than
-    # STENCIL_BLOCK, so it is summed and evaluated in chunks under the bound.
+    # STENCIL_BLOCK; the row is a block of its own, one radial jet of s-values.
     calls = _count_radial_jets(monkeypatch)
     a = np.random.default_rng(17).uniform(-0.8, 0.8, 70)
     result = legendre_roundtrip(fubini_study_radial(), a)
-    assert calls[0] == (1,)
-    assert sum(math.prod(shape) for shape in calls[1:]) == 1 + 2 * 70 + 2 * 70**2
-    assert max(math.prod(shape) for shape in calls[1:]) <= curvature.STENCIL_BLOCK
+    assert calls == [(1,), (1, 1 + 2 * 70 + 2 * 70**2)]
+    assert 9_941 > curvature.STENCIL_BLOCK
+    # No point in a is formed, so the dense offsets table is never made.
+    assert "offsets" not in vars(curvature._stencil(70, curvature.TWO_CORNERS))
     assert result.hessian_residual < 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_stencil_slices_match_the_whole_stencil(n):
-    # Each stencil as a dense table of unit offsets, bit for bit what any
-    # slice gives, and what is written to a given buffer.
+    # Each stencil as a dense table of unit offsets, bit for bit what
+    # _stencil_points gives, and what it writes to a given buffer.
     x = np.random.default_rng(18).uniform(0.1, 1.0, (2, n))
-    h = np.array([1e-3, 2e-3])
+    h = 1e-3
     eye = np.eye(n)
     i, j = np.triu_indices(n, 1)
     two = [eye[i] + eye[j], -eye[i] - eye[j]]
@@ -722,13 +781,8 @@ def test_stencil_slices_match_the_whole_stencil(n):
     for corners, mixed in ((curvature.TWO_CORNERS, two), (curvature.FOUR_CORNERS, four)):
         unit = np.concatenate([eye, -eye] + mixed)
         offsets = np.concatenate([np.zeros((1, n)), unit, unit / 2.0])
-        whole = x[:, None, :] + offsets * h[:, None, None]
+        whole = x[:, None, :] + offsets * h
         assert np.array_equal(curvature._stencil_points(x, h, corners=corners), whole)
-        parts = [
-            curvature._stencil_points(x, h, k, min(k + 3, len(offsets)), corners=corners)
-            for k in range(0, len(offsets), 3)
-        ]
-        assert np.array_equal(np.concatenate(parts, axis=1), whole)
         buffer = np.full(whole.shape, np.nan)
         assert curvature._stencil_points(x, h, corners=corners, out=buffer) is buffer
         assert np.array_equal(buffer, whole)
@@ -737,17 +791,26 @@ def test_stencil_slices_match_the_whole_stencil(n):
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_stencil_geometry_is_made_once_per_n_and_read_only(n):
     for corners, per_step in ((curvature.TWO_CORNERS, n + n * n), (curvature.FOUR_CORNERS, 2 * n * n)):
-        offsets = curvature._stencil_offsets(n, corners)
-        assert offsets is curvature._stencil_offsets(n, corners)
-        assert offsets.shape == (1 + 2 * per_step, n)
-        assert not offsets.flags.writeable
+        stencil = curvature._stencil(n, corners)
+        assert stencil is curvature._stencil(n, corners)
+        assert stencil.offsets is stencil.offsets
+        assert stencil.offsets.shape == (1 + 2 * per_step, n)
+        assert sum(b.stop - b.start for b in stencil.blocks) == per_step
+        # The moves rebuild the dense table exactly: each point is the sum of
+        # its one or two moves, and a move of step 0 adds nothing.
+        rebuilt = np.zeros((1 + 2 * per_step, n))
+        for k, (a, da, b, db) in enumerate(
+            zip(stencil.first, stencil.first_step, stencil.second, stencil.second_step)
+        ):
+            rebuilt[k, a] += da
+            rebuilt[k, b] += db
+        assert np.array_equal(rebuilt, stencil.offsets)
+        assert np.array_equal(np.abs(stencil.first_step) > 0, np.arange(1 + 2 * per_step) > 0)
+        for array in (stencil.offsets, stencil.first, stencil.first_step, stencil.second, stencil.second_step,
+                      stencil.diag, stencil.upper, stencil.lower, stencil.i, stencil.j):
+            assert not array.flags.writeable
         with pytest.raises(ValueError):
-            offsets[1, 0] = 2.0
-        blocks, indices = curvature._richardson_layout(n, corners)
-        assert blocks is curvature._richardson_layout(n, corners)[0]
-        assert sum(b.stop - b.start for b in blocks) == per_step
-        for index in indices:
-            assert not index.flags.writeable
+            stencil.offsets[1, 0] = 2.0
 
 
 def _dense_second_differences(corners, n=3, h=1e-2):

@@ -8,7 +8,6 @@ from torickahler.polytope import (
     AffineFunctional,
     build_standard,
     canonical_potential,
-    facet_values,
     row_sum,
 )
 
@@ -28,7 +27,7 @@ def test_orthant_dimension_one():
 
 def test_simplex_facets():
     poly = build_standard("simplex", 2)
-    values = facet_values(poly, (0.2, 0.3))
+    values = [facet((0.2, 0.3)) for facet in poly.facets]
     assert values == pytest.approx([0.2, 0.3, 0.5])
 
 
@@ -44,23 +43,23 @@ def test_unknown_kind():
 
 def test_facet_values_blowup():
     poly = build_standard("blowup", 2)
-    assert facet_values(poly, (1.0, 1.0)) == pytest.approx([1.0, 1.0, 1.0])
+    assert [facet((1.0, 1.0)) for facet in poly.facets] == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_facet_values_boundary_point():
     poly = build_standard("simplex", 2)
-    assert facet_values(poly, (0.5, 0.5)) == pytest.approx([0.5, 0.5, 0.0])
+    assert [facet((0.5, 0.5)) for facet in poly.facets] == pytest.approx([0.5, 0.5, 0.0])
 
 
 def test_facet_values_orthant():
     poly = build_standard("orthant", 3)
-    assert facet_values(poly, (1.0, 2.0, 3.0)) == pytest.approx([1.0, 2.0, 3.0])
+    assert [facet((1.0, 2.0, 3.0)) for facet in poly.facets] == pytest.approx([1.0, 2.0, 3.0])
 
 
 def test_facet_values_dimension_mismatch():
     poly = build_standard("orthant", 2)
     with pytest.raises(DimensionError):
-        facet_values(poly, (1.0, 2.0, 3.0))
+        poly.facets[0]((1.0, 2.0, 3.0))
 
 
 def test_nonzero_normal_required():
@@ -96,7 +95,7 @@ def test_blowup_t_minus_one_relation():
         poly = build_standard("blowup", n)
         for _ in range(20):
             x = rng.uniform(0.1, 3.0, n)
-            values = facet_values(poly, x)
+            values = [facet(x) for facet in poly.facets]
             assert values[-1] == pytest.approx(sum(values[:-1]) - 1.0, abs=1e-12)
 
 
@@ -111,7 +110,7 @@ def test_canonical_potential_is_convex_on_segments():
             if kind == "blowup":
                 a = a + (1.2 / n)
                 b = b + (1.2 / n)
-            if not (facet_values(poly, np.stack([a, b])) > 1e-6).all():
+            if not all((facet(np.stack([a, b])) > 1e-6).all() for facet in poly.facets):
                 continue
             mid = 0.5 * (a + b)
             lhs = canonical_potential(poly, mid)
@@ -126,11 +125,8 @@ def test_facet_values_are_affine():
         x = rng.uniform(-2.0, 2.0, 3)
         y = rng.uniform(-2.0, 2.0, 3)
         alpha = rng.uniform(0.0, 1.0)
-        mixed = facet_values(poly, alpha * x + (1 - alpha) * y)
-        combo = [
-            alpha * u + (1 - alpha) * v
-            for u, v in zip(facet_values(poly, x), facet_values(poly, y))
-        ]
+        mixed = [facet(alpha * x + (1 - alpha) * y) for facet in poly.facets]
+        combo = [alpha * facet(x) + (1 - alpha) * facet(y) for facet in poly.facets]
         assert mixed == pytest.approx(combo, abs=1e-12)
 
 
@@ -196,8 +192,8 @@ def test_facet_values_match_row_by_row_bitwise(kind, n):
     rng = np.random.default_rng(70 + n)
     poly = build_standard(kind, n)
     x = _interior_batch(rng, kind, n, (6, 5))
-    batch = facet_values(poly, x)
-    rows = np.array([[facet_values(poly, point) for point in block] for block in x])
+    batch = np.stack([facet(x) for facet in poly.facets], axis=-1)
+    rows = np.array([[[facet(point) for facet in poly.facets] for point in block] for block in x])
     assert batch.shape == (6, 5, len(poly.facets))
     assert np.array_equal(batch, rows)
     # The last facet of simplex and blowup sums its coordinates left to right.
