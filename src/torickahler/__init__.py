@@ -20,7 +20,7 @@ from .errors import (
     SingularPointError,
     ToricError,
 )
-from .jets import DEFAULT_ORDER, TaylorJet, arith, derivative, jet_pow, ln_jet
+from .jets import TaylorJet, arith, derivative, jet_pow, ln_jet
 from .polytope import (
     AffineFunctional,
     DelzantPolytope,
@@ -39,7 +39,6 @@ from .potentials import (
     fubini_study_potential,
     fubini_study_radial,
     generalized_burns_potential,
-    hermitian_metric,
     kahler_to_t_potential,
     local_t_potential,
     scalar_flat_family,
@@ -49,6 +48,7 @@ from .curvature import (
     CurvatureReport,
     HessianEval,
     LegendreRoundtrip,
+    abreu_t_window,
     extremal_check,
     hessian_general,
     hessian_t_family,

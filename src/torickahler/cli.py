@@ -8,7 +8,9 @@ on usage or domain errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -69,8 +71,14 @@ def _jsonable(value):
     return value
 
 
+def _csv_field(value) -> str:
+    """One CSV field: a list or dict as its JSON text, any other value as its JSON-ready value's ``str``."""
+    value = _jsonable(value)
+    return json.dumps(value) if isinstance(value, (list, dict)) else str(value)
+
+
 def emit(report: RunReport, fmt: str = "json", destination: str | None = None) -> None:
-    """Write the report as JSON, or as CSV rows when it carries a table."""
+    """Write the report as JSON, or as CSV rows (a table's, if it carries one) through :mod:`csv`."""
     if fmt == "json":
         payload = {
             "command": report.command,
@@ -91,21 +99,21 @@ def emit(report: RunReport, fmt: str = "json", destination: str | None = None) -
     elif fmt == "csv":
         if report.table is not None:
             header, rows = report.table
-            lines = [",".join(header)]
-            lines.extend(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) for row in rows)
-            lines.extend(
-                f"# {r.name}={_jsonable(r.measured)} expected={_jsonable(r.expected)} "
-                f"tolerance={_jsonable(r.tolerance)} status={r.status}"
+            records = [header, *rows]
+            records.extend(
+                [
+                    f"# {r.name}={_jsonable(r.measured)} expected={_jsonable(r.expected)} "
+                    f"tolerance={_jsonable(r.tolerance)} status={r.status}"
+                ]
                 for r in report.results
                 if not isinstance(r.measured, (list, tuple))  # tabular payload already emitted as rows
             )
         else:
-            lines = ["name,status,measured,expected,tolerance"]
-            lines.extend(
-                f"{r.name},{r.status},{_jsonable(r.measured)},{_jsonable(r.expected)},{_jsonable(r.tolerance)}"
-                for r in report.results
-            )
-        text = "\n".join(lines) + "\n"
+            records = [("name", "status", "measured", "expected", "tolerance")]
+            records.extend((r.name, r.status, r.measured, r.expected, r.tolerance) for r in report.results)
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(map(_csv_field, record) for record in records)
+        text = buffer.getvalue()
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -170,9 +178,12 @@ def _parse_float_range(text: str) -> tuple[float, float]:
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise DomainError(f"expected comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +256,10 @@ def _cmd_curvature(args) -> RunReport:
         x = _parse_floats(point_text)
         if len(x) != args.dim:
             raise ToricError(f"point {point_text!r} does not have dimension {args.dim}")
-        t = sum(x)
-        radius = min(0.5, 0.6 * (t - pot.domain[0]))
-        g = potentials.symplectic_evaluator(pot, t_window=(t - radius, t + radius))
+        expected = curvature.scalar_curvature_reduced(pot, args.dim, sum(x))
+        g = potentials.symplectic_evaluator(pot, t_window=curvature.abreu_t_window(x))
         value = curvature.scalar_curvature_abreu(g, x)
-        report.check(f"S_abreu(x={point_text})", value, None, None, ok=math.isfinite(value))
+        report.check(f"S_abreu(x={point_text})", value, expected, 1e-4 * (1.0 + abs(expected)))
     return report
 
 

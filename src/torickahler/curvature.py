@@ -53,6 +53,7 @@ __all__ = [
     "hessian_general",
     "scalar_curvature_reduced",
     "scalar_curvature_abreu",
+    "abreu_t_window",
     "extremal_check",
     "legendre_roundtrip",
 ]
@@ -405,6 +406,28 @@ def _check_resolved(n: int, t, inputs: tuple, D2, terms: tuple) -> None:
         raise DomainError(f"F'' or its first two derivatives underflow at t={where}; S is not resolved there")
 
 
+def _abreu_steps(x: np.ndarray, step: float | None) -> tuple[float, float]:
+    """The outer step (``step`` if given) and the inner Hessian step of :func:`scalar_curvature_abreu`."""
+    scale = 1.0 + float(np.linalg.norm(x))
+    return (0.02 * scale if step is None else step), 1.5e-3 * scale
+
+
+def abreu_t_window(x: Sequence[float], step: float | None = None) -> tuple[float, float]:
+    """The interval of t = sum x_i on which ``scalar_curvature_abreu(g, x, step)`` evaluates ``g``.
+
+    The outer stencil moves t by at most 2 ``step`` (at +-(e_i + e_j)) and an
+    inner one by at most 2 h more, h the inner Hessian step.  That reach is
+    widened by a relative 1e-6, far above the ~n eps t by which rounding
+    moves a point's t (the reach is at least 2 h >= 3e-3 t / sqrt(n)).  The
+    interval is the ``t_window`` to give
+    :func:`~torickahler.potentials.symplectic_evaluator`.
+    """
+    x = np.asarray(x, dtype=float)
+    step, hessian_step = _abreu_steps(x, step)
+    t, reach = float(x.sum()), 2.0 * (step + hessian_step) * (1.0 + 1e-6)
+    return t - reach, t + reach
+
+
 def scalar_curvature_abreu(
     g: Callable[[np.ndarray], np.ndarray],
     x: Sequence[float],
@@ -420,16 +443,15 @@ def scalar_curvature_abreu(
     257 x 145 = 37,265 points.  The outer level keeps four corners because
     the two-corner form there costs about half a digit.  G^{-1} is
     differentiated on the outer stencil with one Richardson extrapolation
-    over (step, step/2).  The inner Hessian step, 1.5e-3 (1 + |x|), is wider
-    than the standalone default: the composition is a fourth derivative of
-    g, and a too-small inner step leaves rounding noise that the outer
-    stencil amplifies by 1/step^2.  Keep ``x`` more than ``4 * step`` inside
-    the domain.
+    over (step, step/2).  The inner Hessian step, like the default ``step`` a
+    multiple of 1 + |x|, is wider than the standalone default: the
+    composition is a fourth derivative of g, and a too-small inner step
+    leaves rounding noise that the outer stencil amplifies by 1/step^2.  Keep
+    ``x`` more than ``4 * step`` inside the domain; :func:`abreu_t_window` is
+    the interval of t that ``g`` sees.
     """
     x = np.asarray(x, dtype=float)
-    if step is None:
-        step = 0.02 * (1.0 + float(np.linalg.norm(x)))
-    hessian_step = 1.5e-3 * (1.0 + float(np.linalg.norm(x)))
+    step, hessian_step = _abreu_steps(x, step)
     G_inv = hessian_general(g, _stencil_points(x, step, corners=FOUR_CORNERS), hessian_step).G_inv
     # D[k, l, i, j] = d^2 G^kl / dx_i dx_j
     D = _richardson_combine(np.moveaxis(G_inv, 0, -1), step, corners=FOUR_CORNERS)
@@ -485,7 +507,10 @@ def legendre_roundtrip(f: RadialKahlerPotential, a: Sequence[float] | np.ndarray
     in blocks of at most ``STENCIL_BLOCK`` stencil points, each block with one
     radial jet at s and one on its stencil; a row whose stencil alone is
     larger is a block of its own.  A row where the profile is not
-    admissible, or whose Hessian is numerically singular, fails the batch.
+    admissible, that is where f' > 0 and f' + s f'' > 0 fail (the
+    eigenvalues of the complex-side metric f' I + f'' z z^*), raises
+    :class:`NonAdmissibleError` for the batch; a numerically singular
+    Hessian raises :class:`DegeneratePotentialError`.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 0 or a.size == 0:

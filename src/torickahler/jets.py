@@ -35,7 +35,6 @@ import numpy as np
 from .errors import DomainError, InsufficientOrderError, SingularPointError
 
 __all__ = [
-    "DEFAULT_ORDER",
     "TaylorJet",
     "constant",
     "variable",
@@ -44,11 +43,6 @@ __all__ = [
     "jet_pow",
     "derivative",
 ]
-
-#: Default order of lifts and radial jets.  Reduced S reads F'' to order two
-#: and the Legendre bridge f to order two; the rest is headroom for callers.
-DEFAULT_ORDER = 6
-
 
 class TaylorJet:
     """Expansion of a scalar function about ``base``, truncated at some order.
@@ -132,7 +126,7 @@ _set_base = TaylorJet.base.__set__
 _set_coefficients = TaylorJet.coefficients.__set__
 
 
-def constant(value, base: float | np.ndarray = 0.0, order: int = DEFAULT_ORDER) -> TaylorJet:
+def constant(value, base: float | np.ndarray, order: int) -> TaylorJet:
     """Jet of a constant function: ``[value, 0, ...]``.
 
     With an ndarray ``base`` the jet is a batch; ``value`` is then a float or
@@ -151,7 +145,7 @@ def constant(value, base: float | np.ndarray = 0.0, order: int = DEFAULT_ORDER) 
     return TaylorJet(base, (value,) + (zero,) * order)
 
 
-def variable(base: float | np.ndarray, order: int = DEFAULT_ORDER) -> TaylorJet:
+def variable(base: float | np.ndarray, order: int) -> TaylorJet:
     """Jet of the identity function about ``base``: ``[base, 1, 0, ...]``.
 
     An ndarray ``base`` (any shape, converted to float) gives a batch.

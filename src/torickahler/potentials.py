@@ -58,7 +58,6 @@ __all__ = [
     "TPotential",
     "AdmissibilityReport",
     "TDual",
-    "HermitianMetric",
     "flat_radial",
     "fubini_study_radial",
     "radial_jet",
@@ -74,7 +73,6 @@ __all__ = [
     "admissibility",
     "legendre_dual",
     "kahler_to_t_potential",
-    "hermitian_metric",
     "local_t_potential",
     "symplectic_evaluator",
 ]
@@ -597,34 +595,6 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float) -> TDual:
         f"gamma(s) = {t} not met within {_INVERSION_CAP} Newton-bisection iterates; "
         f"the last bracket was [{lo}, {hi}]"
     )
-
-
-# ---------------------------------------------------------------------------
-# Complex-side Hermitian matrix
-# ---------------------------------------------------------------------------
-
-
-class HermitianMetric(NamedTuple):
-    matrix: np.ndarray
-    posdef: bool
-
-
-def hermitian_metric(f: RadialKahlerPotential, z: Sequence[complex]) -> HermitianMetric:
-    """The matrix f' I + f'' z z* with its positive-definiteness flag.
-
-    The eigenvalues are f' with multiplicity n-1 and f' + s f'' once (s = |z|^2),
-    so positivity is decided from those two numbers.
-    """
-    z = np.asarray(z, dtype=complex)
-    if z.ndim != 1 or z.size == 0:
-        raise DimensionError("z must be a nonempty complex vector")
-    s = float(np.vdot(z, z).real)
-    if s == 0.0:
-        raise DomainError("the origin is excluded; radial profiles live on C^n minus 0")
-    _, f1, f2 = radial_derivatives(f, s)
-    matrix = f1 * np.eye(z.size, dtype=complex) + f2 * np.outer(z, np.conj(z))
-    posdef = f1 > 0.0 and f1 + s * f2 > 0.0
-    return HermitianMetric(matrix=matrix, posdef=posdef)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from torickahler.curvature import (
+    abreu_t_window,
     hessian_t_family,
     legendre_roundtrip,
     scalar_curvature_abreu,
@@ -30,7 +31,6 @@ from torickahler.potentials import (
     fubini_study_potential,
     fubini_study_radial,
     generalized_burns_potential,
-    hermitian_metric,
     radial_jet,
     scalar_flat_family,
     symplectic_evaluator,
@@ -152,11 +152,7 @@ def test_criterion_06_cross_oracle_agreement():
         if np.isfinite(hi):
             margins.append(hi - t)
         step = min(0.02 * (1.0 + float(np.linalg.norm(x))), min(margins) / 4.5)
-        window = None
-        if pot.value_fn is None:
-            radius = min(0.5, 0.6 * (t - lo))
-            window = (t - radius, t + radius)
-        g = symplectic_evaluator(pot, t_window=window)
+        g = symplectic_evaluator(pot, t_window=abreu_t_window(x, step))
         s_fd = scalar_curvature_abreu(g, x, step=step)
         s_jet = scalar_curvature_reduced(pot, n, t)
         worst = max(worst, abs(s_fd - s_jet))
@@ -255,7 +251,12 @@ def test_criterion_10_admissibility_gates():
         f2 = 2.0 * jet.coefficients[2]
         if min(abs(f1), abs(f1 + s * f2)) < 1e-9:
             continue  # razor-edge sample: the inequality itself is ill-posed
-        flag = hermitian_metric(f, z).posdef
+        # The roundtrip at a = ln|z| reads the profile at s = |z|^2.
+        try:
+            legendre_roundtrip(f, np.log(np.abs(z)))
+            flag = True
+        except NonAdmissibleError:
+            flag = False
         assert flag == (f1 > 0.0 and f2 > -f1 / s)
         hermitian_checked += 1
 
@@ -313,11 +314,7 @@ def test_criterion_11_cross_oracle_high_dimensions():
         if np.isfinite(hi):
             margins.append(hi - t)
         step = min(0.02 * (1.0 + float(np.linalg.norm(x))), min(margins) / 4.5)
-        window = None
-        if pot.value_fn is None:
-            radius = min(0.5, 0.6 * (t - lo))
-            window = (t - radius, t + radius)
-        g = symplectic_evaluator(pot, t_window=window)
+        g = symplectic_evaluator(pot, t_window=abreu_t_window(x, step))
         s_fd = scalar_curvature_abreu(g, x, step=step)
         s_jet = scalar_curvature_reduced(pot, n, t)
         worst = max(worst, abs(s_fd - s_jet) / (1.0 + abs(s_jet)))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torickahler
-from torickahler import curvature, scalarflat
+from torickahler import asymptotics, curvature, scalarflat
 from torickahler.cli import RunReport, build_parser, dispatch, emit
 
 
@@ -125,6 +126,38 @@ def test_curvature_point_evaluation(capsys):
     assert payload["results"][0]["measured"] == pytest.approx(0.0, abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "dim, point, expected_code",
+    [
+        # The stencil reaches 2 (step + inner step) = 0.79 from t = 30, past a fixed window of +-0.5.
+        ("3", "10,10,10", 0),
+        ("2", "8,8", 0),
+        # Near x_2 = 0 and near the pole at t = 1 the finite differences are off by 1.8e-3 and 1.9e-2.
+        ("2", "1.2,0.05", 1),
+        ("2", "0.55,0.55", 1),
+    ],
+)
+def test_curvature_point_is_checked_against_reduced_s(capsys, dim, point, expected_code):
+    code, out = run(capsys, "curvature", "--potential", "burns_simanca", "--dim", dim, "--point", point)
+    assert code == expected_code
+    (result,) = json.loads(out)["results"]
+    n, t = int(dim), sum(float(v) for v in point.split(","))
+    assert result["expected"] == curvature.scalar_curvature_reduced(scalarflat.burns_simanca_potential(n), n, t)
+    assert result["tolerance"] == 1e-4 * (1.0 + abs(result["expected"]))
+    assert (abs(result["measured"] - result["expected"]) <= result["tolerance"]) == (expected_code == 0)
+
+
+@pytest.mark.parametrize(
+    "value, expected_code",
+    [(5.0, 1), (6.0 - 7.1e-4, 1), (6.0 + 7.1e-4, 1), (1e300, 1), (-1e300, 1), (6.0 - 6.9e-4, 0), (6.0 + 6.9e-4, 0)],
+)
+def test_curvature_point_check_can_fail(capsys, monkeypatch, value, expected_code):
+    # Fubini-Study at n = 2 has S = 6, so the tolerance is 1e-4 (1 + 6) = 7e-4.
+    monkeypatch.setattr(curvature, "scalar_curvature_abreu", lambda g, x: value)
+    code, _ = run(capsys, "curvature", "--potential", "fubini_study", "--dim", "2", "--point", "0.2,0.25")
+    assert code == expected_code
+
+
 def test_legendre_roundtrip_command(capsys):
     code, out = run(capsys, "legendre", "--potential", "fubini_study", "--dim", "2", "--samples", "10")
     assert code == 0
@@ -146,10 +179,38 @@ def test_decay_csv_contract(capsys):
     assert lines[0] == "u,deviation"
     data = [l for l in lines[1:] if not l.startswith("#")]
     assert len(data) == 16
-    for line in data:
-        u, dev = line.split(",")
-        float(u), float(dev)
+    assert data == [f"{u!r},{d!r}" for u, d in asymptotics.decay_scan(2, 1e2, 1e5, 16).samples]
     assert any("fitted_slope" in l for l in lines if l.startswith("#"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-catalog", "--dims", "2..3"],
+        ["derive", "--dim", "3"],
+        ["curvature", "--potential", "burns_simanca", "--dim", "3", "--t", "2.0", "--point", "0.6,0.6,0.6"],
+        ["legendre", "--samples", "3"],
+        ["decay", "--dim", "2", "--samples", "16"],
+        ["admissible", "--potential", "fubini_study", "--t-range", "0.01..0.99"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_csv_row_parses_to_its_header_width(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    data = [row for row in rows if not row[0].startswith("#")]
+    assert data and all(len(row) == len(header) for row in data)
+    assert all(len(row) == 1 for row in rows if row[0].startswith("#"))
+
+
+def test_csv_list_and_dict_cells_are_one_json_field(capsys):
+    _, out = run(capsys, "derive", "--dim", "3", "--format", "csv")
+    rows = {row[0]: row for row in csv.reader(io.StringIO(out))}
+    assert json.loads(rows["quotient_coefficients"][2]) == [1, 1, -1]
+    _, out = run(capsys, "admissible", "--potential", "fubini_study", "--t-range", "0.01..0.99", "--format", "csv")
+    rows = {row[0]: row for row in csv.reader(io.StringIO(out))}
+    assert json.loads(rows["admissibility"][2])["witness"] is None
 
 
 def test_decay_json_slope(capsys):
@@ -267,17 +328,29 @@ def test_every_argv_keeps_the_exit_contract(argv, fmt):
     assert code in (0, 1, 2)
 
 
-def test_module_entry_point_runs_without_warnings():
-    # Importing the package must not import torickahler.cli ahead of runpy.
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    """``python -W error::RuntimeWarning -m torickahler.cli argv`` in a fresh interpreter on this checkout."""
     src = str(Path(torickahler.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "torickahler.cli", "derive", "--dim", "3"],
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "torickahler.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_module_entry_point_runs_without_warnings():
+    # Importing the package must not import torickahler.cli ahead of runpy.
+    proc = _run_module("derive", "--dim", "3")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("point", ["0.1,inf", "nan,0.2"])
+def test_non_finite_point_exits_two_without_warnings(point):
+    proc = _run_module("curvature", "--potential", "fubini_study", "--dim", "2", "--point", point)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: expected finite numbers, got {point!r}\n"
 
 
 def test_runtime_imports_no_scipy():

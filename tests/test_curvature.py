@@ -7,6 +7,7 @@ import pytest
 from torickahler import curvature, potentials
 from torickahler.curvature import (
     STENCIL_BLOCK,
+    abreu_t_window,
     extremal_check,
     hessian_general,
     hessian_t_family,
@@ -21,7 +22,7 @@ from torickahler.errors import (
     NonAdmissibleError,
 )
 from torickahler.jets import constant, variable
-from torickahler.polytope import build_standard, canonical_potential
+from torickahler.polytope import build_standard, canonical_potential, row_sum
 from torickahler.potentials import (
     RadialKahlerPotential,
     custom_potential,
@@ -326,15 +327,30 @@ def test_abreu_matches_reduced_on_catalog():
         (burns_simanca_potential(3), 3, np.array([0.7, 0.6, 0.8])),
     ]
     for pot, n, x in cases:
-        t = float(x.sum())
-        window = None
-        if pot.value_fn is None:
-            radius = min(0.5, 0.6 * (t - pot.domain[0]))
-            window = (t - radius, t + radius)
-        g = symplectic_evaluator(pot, t_window=window)
+        g = symplectic_evaluator(pot, t_window=abreu_t_window(x))
         s_fd = scalar_curvature_abreu(g, x)
-        s_jet = scalar_curvature_reduced(pot, n, t)
+        s_jet = scalar_curvature_reduced(pot, n, float(x.sum()))
         assert s_fd == pytest.approx(s_jet, abs=1e-4)
+
+
+@pytest.mark.parametrize("n, step", [(1, None), (2, None), (3, None), (5, 0.01), (3, 0.3)])
+def test_abreu_t_window_holds_every_t_that_g_sees(n, step):
+    # From n = 2 on, the outer corners +(e_i + e_j) with the inner ones on top
+    # reach both ends, so the window is tight up to its rounding slack.
+    x = np.linspace(0.6, 1.4, n)
+    lo, hi = abreu_t_window(x, step)
+    base = symplectic_evaluator(flat_potential())
+    seen = []
+
+    def g(points):
+        seen.append(row_sum(points).ravel())
+        return base(points)
+
+    scalar_curvature_abreu(g, x, step)
+    ts, t = np.concatenate(seen), float(x.sum())
+    assert lo <= ts.min() and ts.max() <= hi
+    if n >= 2:
+        assert ts.min() - lo <= 1e-5 * (t - lo) and hi - ts.max() <= 1e-5 * (hi - t)
 
 
 def test_abreu_affine_shift_invariance():
