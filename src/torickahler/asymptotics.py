@@ -42,14 +42,16 @@ __all__ = [
 class DecayReport:
     """Log-log decay fit of the deviation from the euclidean metric.
 
-    ``leading_coefficient`` is ``u^(-expected_slope) * deviation``, taken in
-    log space at the largest ``u`` of the fit, where ``F''`` is still a normal
-    float; it tends to ``n - 1`` for the blow-up metric.
+    ``fitted`` marks, per sample, whether the fit used it: past the first
+    decade of u, with ``F''`` a normal float.  ``leading_coefficient`` is
+    ``u^(-expected_slope) * deviation``, taken in log space at the largest
+    ``u`` of the fit; it tends to ``n - 1`` for the blow-up metric.
     """
 
     n: int
     potential: str
     samples: tuple[tuple[float, float], ...]
+    fitted: tuple[bool, ...]
     fitted_slope: float
     expected_slope: float
     leading_coefficient: float
@@ -135,6 +137,7 @@ def decay_scan(
         n=n,
         potential=pot.label,
         samples=scan,
+        fitted=tuple(fit.tolist()),
         fitted_slope=slope,
         expected_slope=float(1 - n),
         leading_coefficient=leading,

@@ -16,14 +16,14 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import asymptotics, curvature, potentials, scalarflat
-from .errors import DomainError, ToricError
+from .errors import DimensionError, DomainError, ToricError
 
-__all__ = ["RunReport", "CheckResult", "emit", "get_potential", "dispatch", "main"]
+__all__ = ["CATALOG", "CatalogEntry", "RunReport", "CheckResult", "emit", "get_potential", "dispatch", "main"]
 
 
 @dataclass
@@ -124,21 +124,42 @@ def emit(report: RunReport, fmt: str = "json", destination: str | None = None) -
             handle.write(text)
 
 
+class CatalogEntry(NamedTuple):
+    """A catalog potential's maker (taking n), its reduced S(n, t) in closed form, and where to sample t."""
+
+    maker: Callable[[int | None], potentials.TPotential]
+    S: Callable[[int, float | np.ndarray], float | np.ndarray]
+    t_range: tuple[float, float]
+
+
+def _burns_simanca(n: int | None) -> potentials.TPotential:
+    if n is None:
+        raise DomainError("burns_simanca needs the dimension n")
+    return scalarflat.burns_simanca_potential(n)  # DimensionError below n = 2
+
+
+CATALOG = {
+    "flat": CatalogEntry(lambda n: potentials.flat_potential(), lambda n, t: 0.0, (0.5, 5.0)),
+    "fubini_study": CatalogEntry(
+        lambda n: potentials.fubini_study_potential(), lambda n, t: n * (n + 1.0), (0.05, 0.95)
+    ),
+    "generalized_burns": CatalogEntry(
+        lambda n: potentials.generalized_burns_potential(), lambda n, t: (n - 1) * (n - 2) / (t * t), (1.5, 8.0)
+    ),
+    "burns_simanca": CatalogEntry(_burns_simanca, lambda n, t: 0.0, (1.001, 50.0)),
+}
+
+
+def _catalog_entry(name: str) -> CatalogEntry:
+    entry = CATALOG.get(name.replace("-", "_"))
+    if entry is None:
+        raise DomainError(f"unknown potential {name!r}")
+    return entry
+
+
 def get_potential(name: str, n: int | None = None) -> potentials.TPotential:
     """Look up a catalog potential by name (hyphens and underscores both work)."""
-    key = name.replace("-", "_")
-    if key == "burns_simanca":
-        if n is None:
-            raise DomainError("burns_simanca needs the dimension n")
-        return scalarflat.burns_simanca_potential(n)
-    catalog = {
-        "flat": potentials.flat_potential,
-        "fubini_study": potentials.fubini_study_potential,
-        "generalized_burns": potentials.generalized_burns_potential,
-    }
-    if key not in catalog:
-        raise DomainError(f"unknown potential {name!r}")
-    return catalog[key]()
+    return _catalog_entry(name).maker(n)
 
 
 def positive_int(text: str) -> int:
@@ -191,39 +212,22 @@ def _parse_floats(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify_catalog(args) -> RunReport:
-    report = RunReport(
-        "verify-catalog",
-        {"dims": args.dims, "tol": args.tol, "seed": args.seed, "samples": args.samples},
-    )
+def _cmd_verify_catalog(args, report: RunReport) -> None:
     rng = np.random.default_rng(args.seed)
-    fs = potentials.fubini_study_potential()
-    gb = potentials.generalized_burns_potential()
     for n in _parse_range(args.dims):
-        ts = rng.uniform(0.05, 0.95, args.samples)
-        S = curvature.scalar_curvature_reduced(fs, n, ts)
-        deviation = float(np.max(np.abs(S - n * (n + 1))))
-        report.check(f"fubini_study_n{n}_S_is_n(n+1)", deviation, 0.0, args.tol)
-
-        ts = rng.uniform(1.5, 8.0, args.samples)
-        S = curvature.scalar_curvature_reduced(gb, n, ts)
-        deviation = float(np.max(np.abs(S * ts * ts - (n * n - 3 * n + 2))))
-        report.check(f"generalized_burns_n{n}_S_t2_value", deviation, 0.0, args.tol)
-
-        if n >= 2:
-            bs = scalarflat.burns_simanca_potential(n)
-            S = curvature.scalar_curvature_reduced(bs, n, np.array([1.1, 2.0, 10.0]))
-            deviation = float(np.max(np.abs(S)))
-            report.check(f"burns_simanca_n{n}_scalar_flat", deviation, 0.0, args.tol)
-            ok = potentials.admissibility(bs, (1.001, 50.0), 64).passed
-            report.check(f"burns_simanca_n{n}_admissible", ok=ok)
-    return report
+        for name, entry in CATALOG.items():
+            try:
+                pot = entry.maker(n)
+            except DimensionError:  # burns_simanca below n = 2
+                continue
+            ts = rng.uniform(*entry.t_range, args.samples)
+            exact = entry.S(n, ts)
+            error = np.abs(curvature.scalar_curvature_reduced(pot, n, ts) - exact) / (1.0 + np.abs(exact))
+            report.check(f"{name}_n{n}_S", float(np.max(error)), 0.0, args.tol)
+            report.check(f"{name}_n{n}_admissible", ok=potentials.admissibility(pot, entry.t_range, 64).passed)
 
 
-def _cmd_derive(args) -> RunReport:
-    report = RunReport("derive", {"polytope": args.polytope, "dim": args.dim, "seed": args.seed})
-    if args.polytope != "blowup":
-        raise ToricError(f"boundary derivation is defined for the blowup polytope, not {args.polytope!r}")
+def _cmd_derive(args, report: RunReport) -> None:
     n = args.dim
     match = scalarflat.solve_boundary_coefficients(n)
     report.check("A", match.A, Fraction(n - 1), 0, ok=match.A == n - 1)
@@ -238,20 +242,17 @@ def _cmd_derive(args) -> RunReport:
     report.check(
         "delta_positive_and_factorizes", delta.max_det_deviation, 0.0, scalarflat.DELTA_TOL, ok=delta.passed
     )
-    return report
 
 
-def _cmd_curvature(args) -> RunReport:
-    report = RunReport(
-        "curvature",
-        {"potential": args.potential, "dim": args.dim, "t": args.t, "point": args.point},
-    )
-    pot = get_potential(args.potential, args.dim)
+def _cmd_curvature(args, report: RunReport) -> None:
+    entry = _catalog_entry(args.potential)
+    pot = entry.maker(args.dim)
     if not args.t and not args.point:
         raise ToricError("give at least one --t or --point to evaluate at")
     for t in args.t or []:
         value = curvature.scalar_curvature_reduced(pot, args.dim, t)
-        report.check(f"S_reduced(t={t})", value, None, None, ok=math.isfinite(value))
+        expected = entry.S(args.dim, t)
+        report.check(f"S_reduced(t={t})", value, expected, 1e-9 * (1.0 + abs(expected)))
     for point_text in args.point or []:
         x = _parse_floats(point_text)
         if len(x) != args.dim:
@@ -260,21 +261,9 @@ def _cmd_curvature(args) -> RunReport:
         g = potentials.symplectic_evaluator(pot, t_window=curvature.abreu_t_window(x))
         value = curvature.scalar_curvature_abreu(g, x)
         report.check(f"S_abreu(x={point_text})", value, expected, 1e-4 * (1.0 + abs(expected)))
-    return report
 
 
-def _cmd_legendre(args) -> RunReport:
-    report = RunReport(
-        "legendre",
-        {
-            "potential": args.potential,
-            "dim": args.dim,
-            "samples": args.samples,
-            "seed": args.seed,
-            "tol_identity": args.tol_identity,
-            "tol_hessian": args.tol_hessian,
-        },
-    )
+def _cmd_legendre(args, report: RunReport) -> None:
     maker = {"flat": potentials.flat_radial, "fubini_study": potentials.fubini_study_radial}
     key = args.potential.replace("-", "_")
     if key not in maker:
@@ -285,37 +274,21 @@ def _cmd_legendre(args) -> RunReport:
     report.check("duality_identity_gap", float(np.max(result.duality_gap)), 0.0, args.tol_identity)
     report.check("hessian_inverse_match", float(np.max(result.hessian_residual)), 0.0, args.tol_hessian)
     report.check("moment_map_gradient_match", float(np.max(result.gradient_residual)), 0.0, 1e-6)
-    return report
 
 
-def _cmd_decay(args) -> RunReport:
-    report = RunReport(
-        "decay",
-        {"dim": args.dim, "u_min": args.u_min, "u_max": args.u_max, "samples": args.samples},
-    )
+def _cmd_decay(args, report: RunReport) -> None:
     scan = asymptotics.decay_scan(args.dim, args.u_min, args.u_max, args.samples)
-    report.table = (("u", "deviation"), [(u, d) for u, d in scan.samples])
+    rows = [(u, d, fitted) for (u, d), fitted in zip(scan.samples, scan.fitted)]
+    report.table = (("u", "deviation", "fitted"), rows)
     report.check("fitted_slope", scan.fitted_slope, scan.expected_slope, args.tol)
-    report.note("samples", [[u, d] for u, d in scan.samples])
-    return report
+    report.note("samples", rows)
 
 
-def _cmd_admissible(args) -> RunReport:
-    report = RunReport(
-        "admissible",
-        {"potential": args.potential, "dim": args.dim, "t_range": args.t_range, "samples": args.samples},
-    )
+def _cmd_admissible(args, report: RunReport) -> None:
     pot = get_potential(args.potential, args.dim)
     lo, hi = _parse_float_range(args.t_range)
     result = potentials.admissibility(pot, (lo, hi), args.samples)
-    report.check(
-        "admissibility",
-        {"min_margin": result.min_margin, "witness": result.witness},
-        None,
-        None,
-        ok=result.passed,
-    )
-    return report
+    report.check("admissibility", {"min_margin": result.min_margin, "witness": result.witness}, ok=result.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_catalog)
 
     p = sub.add_parser("derive", help="exact boundary matching on the blow-up polytope")
-    p.add_argument("--polytope", default="blowup")
     p.add_argument("--dim", type=positive_int, required=True)
     common(p)
     p.set_defaults(handler=_cmd_derive)
@@ -399,8 +371,11 @@ def dispatch(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Where and how the report is written is no input, so --output and stdout get the same bytes.
+    inputs = {k: v for k, v in vars(args).items() if k not in ("subcommand", "handler", "format", "output")}
+    report = RunReport(args.subcommand, inputs)
     try:
-        report = args.handler(args)
+        args.handler(args, report)
         emit(report, args.format, args.output)
     except (ToricError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

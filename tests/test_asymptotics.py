@@ -255,3 +255,14 @@ def test_one_bad_row_fails_the_whole_deviation_batch():
     chart_deviation(falling, x[:3])
     with pytest.raises(NonAdmissibleError):
         chart_deviation(falling, x)
+
+
+@pytest.mark.parametrize("n, u_max", [(2, 1e160), (3, 1e200), (4, 1e6)])
+def test_decay_scan_marks_exactly_the_samples_it_fits(n, u_max):
+    # Refitting the marked samples alone gives the slope bit for bit.
+    scan = decay_scan(n, 1e2, u_max, 32)
+    u, d = np.array(scan.samples).T
+    fit = np.array(scan.fitted)
+    assert len(fit) == 32 and fit.any() and not fit.all()
+    columns = np.stack([np.log(u[fit]), np.ones(fit.sum()), u[fit][0] / u[fit]], axis=-1)
+    assert np.linalg.lstsq(columns, np.log(d[fit]), rcond=None)[0][0] == scan.fitted_slope

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torickahler
-from torickahler import asymptotics, curvature, scalarflat
+from torickahler import asymptotics, cli, curvature, scalarflat
 from torickahler.cli import RunReport, build_parser, dispatch, emit
 
 
@@ -22,6 +23,17 @@ def run(capsys, *argv):
     code = dispatch(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+_CATALOG_NAMES = ["flat", "fubini_study", "generalized_burns", "burns_simanca"]
+_EVERY_SUBCOMMAND = [
+    ["verify-catalog", "--dims", "2..3"],
+    ["derive", "--dim", "3"],
+    ["curvature", "--potential", "burns_simanca", "--dim", "3", "--t", "2.0", "--point", "0.6,0.6,0.6"],
+    ["legendre", "--samples", "3"],
+    ["decay", "--dim", "2", "--samples", "16"],
+    ["admissible", "--potential", "fubini_study", "--t-range", "0.01..0.99"],
+]
 
 
 def test_verify_catalog_passes(capsys):
@@ -50,8 +62,32 @@ def test_exit_zero_never_with_failed_check(capsys):
         assert (code == 0) == (not failed)
 
 
+def test_verify_catalog_checks_every_catalog_entry(capsys):
+    # Burns-Simanca's boundary match needs n >= 2, so n = 1 has no entry for it.
+    code, out = run(capsys, "verify-catalog", "--dims", "1..3")
+    assert code == 0
+    names = [r["name"] for r in json.loads(out)["results"]]
+    assert names == [
+        f"{name}_n{n}_{check}"
+        for n in (1, 2, 3)
+        for name in _CATALOG_NAMES
+        if n >= 2 or name != "burns_simanca"
+        for check in ("S", "admissible")
+    ]
+
+
+@pytest.mark.parametrize("name", _CATALOG_NAMES)
+def test_verify_catalog_fails_on_a_closed_form_off_by_1e_6(capsys, monkeypatch, name):
+    entry = cli.CATALOG[name]
+    monkeypatch.setitem(cli.CATALOG, name, entry._replace(S=lambda n, t: entry.S(n, t) + 1e-6))
+    code, out = run(capsys, "verify-catalog", "--dims", "2..4")
+    assert code == 1
+    failed = [r["name"] for r in json.loads(out)["results"] if r["status"] == "fail"]
+    assert failed == [f"{name}_n{n}_S" for n in (2, 3, 4)]
+
+
 def test_derive_blowup_dim3(capsys):
-    code, out = run(capsys, "derive", "--polytope", "blowup", "--dim", "3")
+    code, out = run(capsys, "derive", "--dim", "3")
     assert code == 0
     payload = json.loads(out)
     results = {r["name"]: r for r in payload["results"]}
@@ -75,8 +111,10 @@ def test_derive_reports_the_delta_tolerance_it_checks(capsys):
 
 
 def test_derive_rejects_other_polytopes(capsys):
-    code, _ = run(capsys, "derive", "--polytope", "simplex", "--dim", "3")
-    assert code == 2
+    # derive works on the blow-up polytope only, and takes no --polytope option.
+    for polytope in ("blowup", "simplex"):
+        code, _ = run(capsys, "derive", "--polytope", polytope, "--dim", "3")
+        assert code == 2
 
 
 def test_curvature_reduced_value(capsys):
@@ -84,6 +122,44 @@ def test_curvature_reduced_value(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["results"][0]["measured"] == pytest.approx(6.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name, dim, t, expected",
+    [("flat", 2, 1.0, 0.0), ("fubini_study", 3, 0.5, 12.0), ("generalized_burns", 4, 2.0, 1.5),
+     ("burns_simanca", 3, 2.0, 0.0)],
+)
+def test_curvature_t_is_checked_against_the_closed_form(capsys, name, dim, t, expected):
+    code, out = run(capsys, "curvature", "--potential", name, "--dim", str(dim), "--t", str(t))
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    assert result["expected"] == expected
+    assert result["tolerance"] == 1e-9 * (1.0 + abs(expected))
+
+
+@pytest.mark.parametrize("name, dim, t", [("flat", 2, 1.0), ("fubini_study", 3, 0.5), ("generalized_burns", 4, 2.5),
+                                          ("burns_simanca", 3, 2.0)])
+@pytest.mark.parametrize("offset, expected_code", [(2e-9, 1), (-2e-9, 1), (0.5e-9, 0), (-0.5e-9, 0)])
+def test_curvature_t_check_can_fail(capsys, monkeypatch, name, dim, t, offset, expected_code):
+    original = curvature.scalar_curvature_reduced
+
+    def shifted(pot, n, t):
+        S = original(pot, n, t)
+        return S + offset * (1.0 + abs(S))
+
+    monkeypatch.setattr(curvature, "scalar_curvature_reduced", shifted)
+    code, _ = run(capsys, "curvature", "--potential", name, "--dim", str(dim), "--t", str(t))
+    assert code == expected_code
+
+
+def test_curvature_t_near_the_pole_exits_one(capsys):
+    # Reduced S loses digits as t nears the pole of F'' at t = 1 (the
+    # cancellation in u' - u^2); at 1e-7 from it the scaled error is 8.4e-9.
+    code, out = run(capsys, "curvature", "--potential", "burns_simanca", "--dim", "2", "--t", "1.0000001")
+    assert code == 1
+    (result,) = json.loads(out)["results"]
+    assert result["status"] == "fail"
+    assert abs(result["measured"] - result["expected"]) > result["tolerance"] == 1e-9
 
 
 def test_curvature_reduced_beyond_float_range_of_t_power(capsys):
@@ -176,25 +252,15 @@ def test_decay_csv_contract(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "u,deviation"
+    assert lines[0] == "u,deviation,fitted"
     data = [l for l in lines[1:] if not l.startswith("#")]
     assert len(data) == 16
-    assert data == [f"{u!r},{d!r}" for u, d in asymptotics.decay_scan(2, 1e2, 1e5, 16).samples]
+    scan = asymptotics.decay_scan(2, 1e2, 1e5, 16)
+    assert data == [f"{u!r},{d!r},{f}" for (u, d), f in zip(scan.samples, scan.fitted, strict=True)]
     assert any("fitted_slope" in l for l in lines if l.startswith("#"))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify-catalog", "--dims", "2..3"],
-        ["derive", "--dim", "3"],
-        ["curvature", "--potential", "burns_simanca", "--dim", "3", "--t", "2.0", "--point", "0.6,0.6,0.6"],
-        ["legendre", "--samples", "3"],
-        ["decay", "--dim", "2", "--samples", "16"],
-        ["admissible", "--potential", "fubini_study", "--t-range", "0.01..0.99"],
-    ],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
 def test_every_csv_row_parses_to_its_header_width(capsys, argv):
     code, out = run(capsys, *argv, "--format", "csv")
     assert code == 0
@@ -202,6 +268,31 @@ def test_every_csv_row_parses_to_its_header_width(capsys, argv):
     data = [row for row in rows if not row[0].startswith("#")]
     assert data and all(len(row) == len(header) for row in data)
     assert all(len(row) == 1 for row in rows if row[0].startswith("#"))
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_report_inputs_are_the_parsed_options(capsys, argv):
+    # Every option of the subcommand, in the parser's order, except where and how to write.
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = [a.dest for a in subparsers.choices[argv[0]]._actions if a.dest not in ("help", "format", "output")]
+    args = build_parser().parse_args(argv)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    inputs = json.loads(out)["inputs"]
+    assert list(inputs) == dests
+    assert inputs == {dest: json.loads(json.dumps(getattr(args, dest))) for dest in dests}
+    assert "seed" in inputs
+    if argv[0] == "decay":
+        assert inputs["tol"] == 0.1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+def test_output_file_holds_the_bytes_of_stdout(capsys, tmp_path, argv, fmt):
+    _, out = run(capsys, *argv, "--format", fmt)
+    target = tmp_path / "report"
+    run(capsys, *argv, "--format", fmt, "--output", str(target))
+    assert target.read_bytes() == out.encode()
 
 
 def test_csv_list_and_dict_cells_are_one_json_field(capsys):
@@ -229,6 +320,21 @@ def test_decay_past_the_range_of_f2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, unfitted",
+    [(["--dim", "2", "--u-max", "1e160"], 3), (["--dim", "3", "--u-max", "1e200"], 17), (["--dim", "4"], 8)],
+)
+def test_decay_report_marks_the_samples_left_out_of_the_fit(capsys, argv, unfitted):
+    # The fit reads samples past the first decade of u whose F'' = deviation/u is a normal float.
+    code, out = run(capsys, "decay", *argv)
+    assert code == 0
+    _, samples = json.loads(out)["results"]
+    rows = samples["measured"]
+    u_min = rows[0][0]
+    assert [fitted for _, _, fitted in rows] == [u >= 10 * u_min and d >= u * sys.float_info.min for u, d, _ in rows]
+    assert sum(not fitted for _, _, fitted in rows) == unfitted
+
+
+@pytest.mark.parametrize(
     "argv",
     [["--dim", "200"], ["--dim", "2", "--u-min", "1e300", "--u-max", "1e305"]],
     ids=["dim200", "u_past_1e300"],
@@ -246,7 +352,7 @@ def test_decay_output_file(tmp_path, capsys):
         capsys, "decay", "--dim", "2", "--samples", "16", "--format", "csv", "--output", str(target)
     )
     assert code == 0
-    assert target.read_text().splitlines()[0] == "u,deviation"
+    assert target.read_text().splitlines()[0] == "u,deviation,fitted"
 
 
 def test_unwritable_destination(capsys):
@@ -306,8 +412,7 @@ _POINTS = st.lists(_NUMBERS, max_size=3).map(",".join)
 _ARGV = st.one_of(
     st.tuples(st.just(["verify-catalog"]), _option("--dims", _DIM_RANGES), _option("--samples", _SAMPLES),
               _option("--tol", _NUMBERS)),
-    st.tuples(st.just(["derive"]), _option("--dim", _DIMS),
-              _option("--polytope", st.sampled_from(["blowup", "simplex"]))),
+    st.tuples(st.just(["derive"]), _option("--dim", _DIMS)),
     st.tuples(st.just(["curvature"]), _option("--potential", _POTENTIALS), _option("--dim", _DIMS),
               _repeated("--t", _NUMBERS), _repeated("--point", _POINTS)),
     st.tuples(st.just(["legendre"]), _option("--potential", _POTENTIALS), _option("--dim", _DIMS),
