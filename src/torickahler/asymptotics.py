@@ -49,7 +49,6 @@ class DecayReport:
     """
 
     n: int
-    potential: str
     samples: tuple[tuple[float, float], ...]
     fitted: tuple[bool, ...]
     fitted_slope: float
@@ -85,14 +84,8 @@ def chart_deviation(pot: TPotential, x: Sequence[float] | np.ndarray) -> float |
     return float(deviation) if x.ndim == 1 else deviation
 
 
-def decay_scan(
-    n: int,
-    u_min: float,
-    u_max: float,
-    samples: int,
-    pot: TPotential | None = None,
-) -> DecayReport:
-    """Measure the deviation from euclidean at log-spaced u and fit its decay.
+def decay_scan(n: int, u_min: float, u_max: float, samples: int) -> DecayReport:
+    """Measure the blow-up metric's deviation from euclidean at log-spaced u and fit its decay.
 
     Deviations are taken along the diagonal ray x = (u/n)(1, ..., 1), where
     the deviation is u F''(u) to leading order; for radial-family metrics the
@@ -101,9 +94,8 @@ def decay_scan(
     where F'' = deviation/u is not a normal float, and fits
     ``ln d = p ln u + k + c/u``: the ``c/u`` column takes up the first
     correction of the decay, which would otherwise bias the slope p.  Fewer
-    than three points to fit raise :class:`DecayFitError`, whether F'' has
-    underflowed there or is zero, as for a flat metric: a deviation that is
-    not a normal float does not tell the two apart.
+    than three points to fit, as when F'' has underflowed on the whole scan,
+    raise :class:`DecayFitError`.
     """
     if not u_min > 1.0:
         raise DomainError("u_min must exceed 1")
@@ -111,11 +103,9 @@ def decay_scan(
         raise DomainError("u_max must be finite and exceed u_min")
     if samples < 8:
         raise DomainError("need at least 8 samples")
-    if pot is None:
-        pot = burns_simanca_potential(n)
 
     us = np.geomspace(u_min, u_max, samples)
-    deviations = chart_deviation(pot, (us / n)[:, None] * np.ones(n))
+    deviations = chart_deviation(burns_simanca_potential(n), (us / n)[:, None] * np.ones(n))
     scan = tuple(zip(us.tolist(), deviations.tolist()))
 
     fit = (us >= 10.0 * u_min) & (deviations >= us * _TINY)
@@ -126,8 +116,7 @@ def decay_scan(
         # keeps it at any u_min.
         columns = np.stack([log_u, np.ones_like(log_u), u_fit[0] / u_fit], axis=-1)
         slope = float(np.linalg.lstsq(columns, log_d, rcond=None)[0][0])
-        with np.errstate(over="ignore"):  # inf where the deviation decays slower than u^(1-n)
-            leading = float(np.exp(log_d[-1] + (n - 1) * log_u[-1]))
+        leading = float(np.exp(log_d[-1] + (n - 1) * log_u[-1]))
     else:
         raise DecayFitError(
             f"only {np.count_nonzero(fit)} samples past the first decade with a normal F''; cannot fit a slope"
@@ -135,7 +124,6 @@ def decay_scan(
 
     return DecayReport(
         n=n,
-        potential=pot.label,
         samples=scan,
         fitted=tuple(fit.tolist()),
         fitted_slope=slope,

@@ -23,38 +23,29 @@ import numpy as np
 from . import asymptotics, curvature, potentials, scalarflat
 from .errors import DimensionError, DomainError, ToricError
 
-__all__ = ["CATALOG", "CatalogEntry", "RunReport", "CheckResult", "emit", "get_potential", "dispatch", "main"]
-
-
-@dataclass
-class CheckResult:
-    name: str
-    status: str
-    measured: object = None
-    expected: object = None
-    tolerance: object = None
+__all__ = ["CATALOG", "CatalogEntry", "RunReport", "emit", "dispatch", "main"]
 
 
 @dataclass
 class RunReport:
+    """A subcommand's report: each check is the dict that :func:`emit` writes."""
+
     command: str
     inputs: dict
-    results: list[CheckResult] = field(default_factory=list)
+    results: list[dict] = field(default_factory=list)
     table: tuple[tuple[str, ...], list[tuple]] | None = None
 
     def check(self, name, measured=None, expected=None, tolerance=None, ok=None):
         if ok is None:
             ok = abs(measured - expected) <= tolerance
+        status = "pass" if ok else "fail"
         self.results.append(
-            CheckResult(name, "pass" if ok else "fail", measured, expected, tolerance)
+            {"name": name, "status": status, "measured": measured, "expected": expected, "tolerance": tolerance}
         )
-
-    def note(self, name, measured):
-        self.results.append(CheckResult(name, "pass", measured))
 
     @property
     def overall(self) -> str:
-        return "pass" if all(r.status == "pass" for r in self.results) else "fail"
+        return "pass" if all(r["status"] == "pass" for r in self.results) else "fail"
 
 
 def _jsonable(value):
@@ -80,37 +71,23 @@ def _csv_field(value) -> str:
 def emit(report: RunReport, fmt: str = "json", destination: str | None = None) -> None:
     """Write the report as JSON, or as CSV rows (a table's, if it carries one) through :mod:`csv`."""
     if fmt == "json":
-        payload = {
-            "command": report.command,
-            "inputs": _jsonable(report.inputs),
-            "results": [
-                {
-                    "name": r.name,
-                    "status": r.status,
-                    "measured": _jsonable(r.measured),
-                    "expected": _jsonable(r.expected),
-                    "tolerance": _jsonable(r.tolerance),
-                }
-                for r in report.results
-            ],
-            "overall": report.overall,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        payload = dict(command=report.command, inputs=report.inputs, results=report.results, overall=report.overall)
+        text = json.dumps(_jsonable(payload), indent=2) + "\n"
     elif fmt == "csv":
         if report.table is not None:
             header, rows = report.table
             records = [header, *rows]
             records.extend(
                 [
-                    f"# {r.name}={_jsonable(r.measured)} expected={_jsonable(r.expected)} "
-                    f"tolerance={_jsonable(r.tolerance)} status={r.status}"
+                    f"# {r['name']}={_jsonable(r['measured'])} expected={_jsonable(r['expected'])} "
+                    f"tolerance={_jsonable(r['tolerance'])} status={r['status']}"
                 ]
                 for r in report.results
-                if not isinstance(r.measured, (list, tuple))  # tabular payload already emitted as rows
+                if not isinstance(r["measured"], (list, tuple))  # tabular payload already emitted as rows
             )
         else:
             records = [("name", "status", "measured", "expected", "tolerance")]
-            records.extend((r.name, r.status, r.measured, r.expected, r.tolerance) for r in report.results)
+            records.extend(tuple(r.values()) for r in report.results)
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(map(_csv_field, record) for record in records)
         text = buffer.getvalue()
@@ -157,11 +134,6 @@ def _catalog_entry(name: str) -> CatalogEntry:
     return entry
 
 
-def get_potential(name: str, n: int | None = None) -> potentials.TPotential:
-    """Look up a catalog potential by name (hyphens and underscores both work)."""
-    return _catalog_entry(name).maker(n)
-
-
 def positive_int(text: str) -> int:
     """Argument type for dimensions and sample counts."""
     value = int(text)
@@ -171,10 +143,10 @@ def positive_int(text: str) -> int:
 
 
 def tolerance(text: str) -> float:
-    """Argument type for tolerances: a number that is not negative and not NaN."""
+    """Argument type for tolerances: a finite number that is not negative, so that a check can fail."""
     value = float(text)
-    if not value >= 0:
-        raise DomainError(f"{value} is not a nonnegative tolerance")
+    if not 0 <= value < math.inf:
+        raise DomainError(f"{value} is not a finite nonnegative tolerance")
     return value
 
 
@@ -281,11 +253,11 @@ def _cmd_decay(args, report: RunReport) -> None:
     rows = [(u, d, fitted) for (u, d), fitted in zip(scan.samples, scan.fitted)]
     report.table = (("u", "deviation", "fitted"), rows)
     report.check("fitted_slope", scan.fitted_slope, scan.expected_slope, args.tol)
-    report.note("samples", rows)
+    report.check("samples", rows, ok=True)
 
 
 def _cmd_admissible(args, report: RunReport) -> None:
-    pot = get_potential(args.potential, args.dim)
+    pot = _catalog_entry(args.potential).maker(args.dim)
     lo, hi = _parse_float_range(args.t_range)
     result = potentials.admissibility(pot, (lo, hi), args.samples)
     report.check("admissibility", {"min_margin": result.min_margin, "witness": result.witness}, ok=result.passed)

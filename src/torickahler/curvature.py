@@ -91,16 +91,14 @@ def _in_blocks(fn: Callable, per_row: int, *rows: np.ndarray):
 class HessianEval:
     """Hessian data of a symplectic potential at one action point or a batch.
 
-    For one point ``x`` has shape (n,), ``G`` and ``G_inv`` (n, n), and the
-    other fields are a float and a bool; for a batch (rows, n) every field
-    gains a leading axis of length rows.
+    For one point ``x`` has shape (n,), ``G`` and ``G_inv`` (n, n); for a
+    batch (rows, n) every field gains a leading axis of length rows.  ``G`` is
+    positive definite: a potential whose Hessian is not raises instead.
     """
 
     x: np.ndarray
     G: np.ndarray
     G_inv: np.ndarray
-    det_G_inv: float | np.ndarray
-    posdef: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -167,8 +165,7 @@ def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
     f2 = admissible_f2(t, f2_value(pot, t))
     G = np.full((x.size, x.size), 0.5 * f2)
     G[np.diag_indices(x.size)] += 0.5 / x
-    det_G_inv = (2.0**x.size) * np.prod(x) / (1.0 + x.sum() * f2)
-    return HessianEval(x=x, G=G, G_inv=_t_family_inverse(x, f2), det_G_inv=float(det_G_inv), posdef=True)
+    return HessianEval(x=x, G=G, G_inv=_t_family_inverse(x, f2))
 
 
 #: Corner sets of the mixed second differences.  ``FOUR_CORNERS`` are
@@ -284,12 +281,14 @@ def _richardson_combine(values: np.ndarray, h: float | np.ndarray, corners: tupl
     return (4.0 * fine - coarse) / 3.0
 
 
-def _checked_inverse(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and inverses of the Hessians ``G`` (shape (..., n, n)).
+def _checked_inverse(G: np.ndarray) -> np.ndarray:
+    """Inverses of the Hessians ``G`` (shape (..., n, n)), each positive definite.
 
     A Hessian with a non-finite entry, or whose smallest eigenvalue is
     negligible against the largest, raises :class:`DegeneratePotentialError`
-    rather than returning garbage.
+    rather than returning garbage; one with a negative eigenvalue then raises
+    :class:`NonAdmissibleError`, for a potential that is not strictly convex
+    there is no metric.
     """
     if not np.isfinite(G).all():
         raise DegeneratePotentialError("Hessian has a non-finite entry")
@@ -300,7 +299,9 @@ def _checked_inverse(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DegeneratePotentialError(
             f"Hessian is numerically singular (smallest |eig| / max(1, largest |eig|) = {np.min(ratio):.2e})"
         )
-    return eigenvalues, np.linalg.inv(G)
+    if not (eigenvalues[..., 0] > 0.0).all():
+        raise NonAdmissibleError(f"Hessian is not positive definite (smallest eigenvalue = {np.min(eigenvalues):.2e})")
+    return np.linalg.inv(G)
 
 
 def hessian_general(
@@ -321,8 +322,8 @@ def hessian_general(
     construction, and its diagonal is bit for bit that of the four-corner
     stencil.  ``step`` is one h for every point, by default
     ``max(1e-4, 1e-4 |x|)`` for the largest |x| of the batch.  A non-finite
-    or numerically singular Hessian raises :class:`DegeneratePotentialError`;
-    ``det_G_inv`` and ``posdef`` come from the eigenvalues of that check.
+    or numerically singular Hessian raises :class:`DegeneratePotentialError`,
+    and one that is not positive definite :class:`NonAdmissibleError`.
     Keep ``x`` more than ``2 * step`` away from any boundary of ``g``'s
     domain; the stencil reaches that far.
     """
@@ -341,11 +342,7 @@ def hessian_general(
         per_row,
         rows,
     ).reshape(x.shape + (n,))
-    eigenvalues, G_inv = _checked_inverse(G)
-    det_G_inv, posdef = 1.0 / np.prod(eigenvalues, axis=-1), eigenvalues[..., 0] > 0.0
-    if x.ndim == 1:
-        det_G_inv, posdef = float(det_G_inv), bool(posdef)
-    return HessianEval(x=x, G=G, G_inv=G_inv, det_G_inv=det_G_inv, posdef=posdef)
+    return HessianEval(x=x, G=G, G_inv=_checked_inverse(G))
 
 
 def scalar_curvature_reduced(pot: TPotential, n: int, t: float | np.ndarray) -> float | np.ndarray:
@@ -368,38 +365,42 @@ def scalar_curvature_reduced(pot: TPotential, n: int, t: float | np.ndarray) -> 
     jet = f2_jet(pot, t, 2)
     t, c = jet.base, jet.coefficients  # t: a float, or the batch as a float ndarray
     u, du, d2u = admissible_f2(t, c[0]), c[1], 2.0 * c[2]
+    if isinstance(t, np.ndarray):
+        underflow = bool((np.minimum(np.minimum(abs(u), abs(du)), abs(d2u)) < _TINY).any())
+    else:
+        underflow = min(abs(u), abs(du), abs(d2u)) < _TINY
+    if underflow:
+        # A jet that is zero in all three inputs is exact, F'' = 0 as for the flat
+        # metric, and S = 0: every term is 0 at t = 0, where no product of t overflows.
+        flat = (u == 0.0) & (du == 0.0) & (d2u == 0.0)
+        t = np.where(flat, 0.0, t) if isinstance(t, np.ndarray) else (0.0 if flat else t)
     D = 1.0 + t * u
     D2 = D * D
     gap = du - u * u
     phi1 = gap / D2
     phi2 = (d2u - 2.0 * u * du) / D2 - 2.0 * gap * (u + t * du) / (D2 * D)
     terms = (n * (n + 1) * (u / D), 2 * (n + 1) * t * phi1, t * (t * phi2))
-    if isinstance(t, np.ndarray):
-        underflow = bool((np.minimum(np.minimum(abs(u), abs(du)), abs(d2u)) < _TINY).any())
-    else:
-        underflow = min(abs(u), abs(du), abs(d2u)) < _TINY
     if underflow:
-        _check_resolved(n, t, (u, du, d2u), D2, terms)
+        _check_resolved(n, t, (u, du, d2u), D2, terms, flat)
     return terms[0] + terms[1] + terms[2]
 
 
-def _check_resolved(n: int, t, inputs: tuple, D2, terms: tuple) -> None:
+def _check_resolved(n: int, t, inputs: tuple, D2, terms: tuple, flat) -> None:
     """Refuse the t at which underflow in u, u' or u'' could change S beyond roundoff.
 
     An input below the smallest normal float in magnitude, zero included, may
     be off by up to that size, and to first order the three inputs move S by
     n(n+1), 2(n+1) t and t^2 times their error over D^2.  S is refused where
-    that slack exceeds eps times the size of its three terms.  A jet that is
-    zero in all three inputs is taken as exact: F'' = 0 to second order, as
-    for the flat metric, where S = 0.  A potential whose F'' underflows
-    entirely must refuse on its own, as :func:`scalar_flat_family` does.
+    that slack exceeds eps times the size of its three terms, except where
+    ``flat`` marks a jet that is zero in all three inputs, which is exact.  A
+    potential whose F'' underflows entirely must refuse on its own, as
+    :func:`scalar_flat_family` does.
     """
     t = np.asarray(t)
     low = [np.abs(v) < _TINY for v in inputs]
     tiny_t = _TINY * t
     slack = (_TINY * n * (n + 1) * low[0] + 2 * (n + 1) * tiny_t * low[1] + t * tiny_t * low[2]) / D2
     size = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
-    flat = (inputs[0] == 0.0) & (inputs[1] == 0.0) & (inputs[2] == 0.0)
     bad = (slack > np.finfo(float).eps * size) & ~flat
     if bad.any():
         where = t[bad].flat[0] if t.ndim else float(t)
@@ -448,7 +449,8 @@ def scalar_curvature_abreu(
     composition is a fourth derivative of g, and a too-small inner step
     leaves rounding noise that the outer stencil amplifies by 1/step^2.  Keep
     ``x`` more than ``4 * step`` inside the domain; :func:`abreu_t_window` is
-    the interval of t that ``g`` sees.
+    the interval of t that ``g`` sees.  A ``g`` whose Hessian is not positive
+    definite at a stencil point raises :class:`NonAdmissibleError`.
     """
     x = np.asarray(x, dtype=float)
     step, hessian_step = _abreu_steps(x, step)

@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .curvature import _t_family_inverse
-from .errors import AccuracyError, DimensionError, DomainError
+from .errors import AccuracyError, DimensionError, DomainError, NonAdmissibleError
 from .potentials import (
     TPotential,
     _check_t,
@@ -148,27 +148,30 @@ def solve_boundary_coefficients(n: int) -> BoundaryMatch:
     i.e. A + B = 1.  The residue of F'' at the simple pole t = 1 is
     (A + B) / (n - A) once divisibility holds, so unit residue is n - A = 1.
     The system is triangular: A = n - 1 from the residue, then B = 1 - A.
+    The match keeps whatever remainder the division leaves: ``derive``
+    checks it, and :func:`burns_simanca_potential` refuses a nonzero one.
     """
     if n < 2:
         raise DimensionError("boundary matching needs dimension n >= 2")
     a = Fraction(n - 1)
-    match = boundary_match(n, a, 1 - a)
-    if match.remainder != 0:
-        raise ArithmeticError("exact division failed; matching conditions are inconsistent")
-    return match
+    return boundary_match(n, a, 1 - a)
 
 
 def burns_simanca_potential(n: int) -> TPotential:
     """The scalar-flat potential on the blow-up: family member with the matched (A, B).
 
     Nonsingularity on t > 1 holds because Q(1) = 1 and Q has nonnegative
-    derivative coefficients, so Q(t) >= 1 for t >= 1; both are verified here.
+    derivative coefficients, so Q(t) >= 1 for t >= 1; both are verified here,
+    with the exact division by t - 1.  A match that fails one of the three
+    raises :class:`NonAdmissibleError`.
     """
     match = solve_boundary_coefficients(n)
+    if match.remainder != 0:
+        raise NonAdmissibleError("exact division failed; matching conditions are inconsistent")
     if _poly_eval(match._quotient_form, 1) != 1:
-        raise ArithmeticError("quotient normalization Q(1) = 1 failed")
+        raise NonAdmissibleError("quotient normalization Q(1) = 1 failed")
     if any(c < 0 for c in match.quotient[1:]):
-        raise ArithmeticError("quotient has a negative non-constant coefficient")
+        raise NonAdmissibleError("quotient has a negative non-constant coefficient")
     return scalar_flat_family(
         n, float(match.A), float(match.B), label="burns_simanca", domain=(1.0, math.inf)
     )

@@ -276,10 +276,13 @@ def test_criterion_10_admissibility_gates():
         if abs(margin) < 1e-9 or abs(1.0 + t * f2_value(pot, t)) < 1e-9:
             continue
         try:
-            flag = hessian_t_family(pot, x).posdef
+            G = hessian_t_family(pot, x).G
         except NonAdmissibleError:
-            flag = False
-        assert flag == (margin > 0.0)
+            admitted = False
+        else:
+            admitted = True
+            assert np.all(np.linalg.eigvalsh(G) > 0.0)
+        assert admitted == (margin > 0.0)
         family_checked += 1
 
     _report(10, "admissibility_gates", True, "400 samples, zero disagreements")

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 import torickahler
 from torickahler import asymptotics, cli, curvature, scalarflat
 from torickahler.cli import RunReport, build_parser, dispatch, emit
+from torickahler.jets import variable
+from torickahler.potentials import custom_potential
 
 
 def run(capsys, *argv):
@@ -86,6 +89,33 @@ def test_verify_catalog_fails_on_a_closed_form_off_by_1e_6(capsys, monkeypatch, 
     assert failed == [f"{name}_n{n}_S" for n in (2, 3, 4)]
 
 
+def test_verify_catalog_sweeps_admissibility_between_the_ends(capsys, monkeypatch):
+    # 1 + t F'' = (t - t0)^2 - 1e-4 is negative only within 0.01 of t0, the
+    # middle point of the sweep over the flat entry's t range; both ends pass,
+    # and so do the sampled t of the S check.
+    lo, hi = cli.CATALOG["flat"].t_range
+    t0 = float(np.linspace(lo, hi, 64)[32])
+
+    def jet(t, order):
+        v = variable(t, order)
+        return ((v - t0) * (v - t0) - 1.0001) / v
+
+    pot = custom_potential(jet, (0.0, math.inf), "dip")
+    S = functools.partial(curvature.scalar_curvature_reduced, pot)
+    monkeypatch.setitem(cli.CATALOG, "flat", cli.CatalogEntry(lambda n: pot, S, (lo, hi)))
+    code, out = run(capsys, "verify-catalog", "--dims", "2..2")
+    assert code == 1
+    failed = [r["name"] for r in json.loads(out)["results"] if r["status"] == "fail"]
+    assert failed == ["flat_n2_admissible"]
+
+
+def test_potential_names_take_hyphens_and_unknown_ones_exit_two(capsys):
+    for name in ("fubini-study", "fubini_study"):
+        assert run(capsys, "admissible", "--potential", name, "--t-range", "0.01..0.99")[0] == 0
+    assert run(capsys, "admissible", "--potential", "burns-simanca", "--dim", "3", "--t-range", "1.001..50")[0] == 0
+    assert run(capsys, "admissible", "--potential", "nonsense", "--t-range", "0.01..0.99")[0] == 2
+
+
 def test_derive_blowup_dim3(capsys):
     code, out = run(capsys, "derive", "--dim", "3")
     assert code == 0
@@ -108,6 +138,25 @@ def test_derive_reports_the_delta_tolerance_it_checks(capsys):
     results = {r["name"]: r for r in json.loads(out)["results"]}
     assert code == 0
     assert results["delta_positive_and_factorizes"]["tolerance"] == scalarflat.DELTA_TOL
+
+
+def test_derive_fails_on_a_division_remainder(capsys, monkeypatch):
+    # The report judges the remainder; the potential that needs it refuses it.
+    divide = scalarflat._divide_by_t_minus_1
+
+    def off_by_one(coeffs):
+        quotient, remainder = divide(coeffs)
+        return quotient, remainder + 1
+
+    monkeypatch.setattr(scalarflat, "_divide_by_t_minus_1", off_by_one)
+    code, out = run(capsys, "derive", "--dim", "3")
+    assert code == 1
+    results = {r["name"]: r for r in json.loads(out)["results"]}
+    assert results["division_remainder"]["status"] == "fail"
+    assert results["division_remainder"]["measured"] == 1
+    for argv in (["decay", "--dim", "3"], ["curvature", "--potential", "burns_simanca", "--dim", "3", "--t", "2"]):
+        assert dispatch(argv) == 2
+        assert "exact division failed" in capsys.readouterr().err
 
 
 def test_derive_rejects_other_polytopes(capsys):
@@ -379,6 +428,9 @@ def test_unwritable_destination(capsys):
         ["decay", "--dim", "3", "--tol", "nan"],
         ["legendre", "--tol-identity", "-1"],
         ["legendre", "--tol-hessian", "nan"],
+        ["verify-catalog", "--tol", "inf"],
+        ["legendre", "--tol-identity", "inf", "--tol-hessian", "inf"],
+        ["decay", "--dim", "3", "--tol", "inf"],
         ["admissible", "--potential", "burns_simanca", "--t-range", "1.1..2"],
         ["curvature", "--potential", "fubini_study", "--dim", "3", "--point", "0.1,0.2"],
     ],
@@ -456,6 +508,13 @@ def test_non_finite_point_exits_two_without_warnings(point):
     proc = _run_module("curvature", "--potential", "fubini_study", "--dim", "2", "--point", point)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == f"error: expected finite numbers, got {point!r}\n"
+
+
+def test_flat_curvature_at_the_largest_t_is_zero_without_warnings():
+    # 2 (n + 1) t overflows at t = 1e308, but F'' = 0 has S = 0 exactly.
+    proc = _run_module("curvature", "--potential", "flat", "--dim", "1", "--t", "1e308")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"][0]["measured"] == 0.0
 
 
 def test_runtime_imports_no_scipy():

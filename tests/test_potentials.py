@@ -32,7 +32,6 @@ from torickahler.potentials import (
     scalar_flat_family,
     symplectic_evaluator,
 )
-from torickahler.cli import get_potential
 from torickahler.curvature import legendre_roundtrip
 from torickahler.scalarflat import burns_simanca_potential, reconstruct_F
 
@@ -74,7 +73,7 @@ def test_f2_jet_outside_domain():
         (flat_potential(), np.linspace(0.1, 40.0, 9)),
         (fubini_study_potential(), np.linspace(0.02, 0.98, 9)),
         (generalized_burns_potential(), np.linspace(1.05, 30.0, 9)),
-        (get_potential("burns_simanca", 5), np.linspace(1.01, 90.0, 9)),
+        (burns_simanca_potential(5), np.linspace(1.01, 90.0, 9)),
         # t^100 = 2^400 at t = 16: the batch mixes scaled and unscaled points.
         (scalar_flat_family(100, 1.5, -0.7), np.geomspace(2.0, 60.0, 11)),
     ],
@@ -96,13 +95,6 @@ def test_batch_with_one_bad_point_fails():
         f2_jet(fubini_study_potential(), np.array([]), 2)
     with pytest.raises(DomainError):
         radial_jet(fubini_study_radial(), np.array([0.5, -1.0]), 2)
-
-
-def test_get_potential_lookup():
-    assert get_potential("fubini-study").label == "fubini_study"
-    assert get_potential("burns_simanca", 3).label == "burns_simanca"
-    with pytest.raises(DomainError):
-        get_potential("nonsense")
 
 
 # ---------------------------------------------------------------------------
