@@ -14,13 +14,12 @@ from .errors import (
     DegeneratePotentialError,
     DimensionError,
     DomainError,
-    InsufficientOrderError,
     NearBoundaryError,
     NonAdmissibleError,
     SingularPointError,
     ToricError,
 )
-from .jets import TaylorJet, arith, derivative, jet_pow, ln_jet
+from .jets import TaylorJet, arith, jet_pow, ln_jet
 from .polytope import (
     AffineFunctional,
     DelzantPolytope,

@@ -142,6 +142,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed(text: str) -> int:
+    """Argument type for ``--seed``: an integer that is not negative, as numpy's generators need."""
+    value = int(text)
+    if value < 0:
+        raise DomainError(f"{value} is not a nonnegative seed")
+    return value
+
+
 def tolerance(text: str) -> float:
     """Argument type for tolerances: a finite number that is not negative, so that a check can fail."""
     value = float(text)
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="random seed for sampled checks")
+        p.add_argument("--seed", type=seed, default=0, help="random seed for sampled checks")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", default=None, help="destination path (default: stdout)")
 

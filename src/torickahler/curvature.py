@@ -281,14 +281,13 @@ def _richardson_combine(values: np.ndarray, h: float | np.ndarray, corners: tupl
     return (4.0 * fine - coarse) / 3.0
 
 
-def _checked_inverse(G: np.ndarray) -> np.ndarray:
-    """Inverses of the Hessians ``G`` (shape (..., n, n)), each positive definite.
+def _check_hessians(G: np.ndarray) -> None:
+    """Raise unless each of the Hessians ``G`` (shape (..., n, n)) is positive definite.
 
     A Hessian with a non-finite entry, or whose smallest eigenvalue is
-    negligible against the largest, raises :class:`DegeneratePotentialError`
-    rather than returning garbage; one with a negative eigenvalue then raises
-    :class:`NonAdmissibleError`, for a potential that is not strictly convex
-    there is no metric.
+    negligible against the largest, raises :class:`DegeneratePotentialError`;
+    one with a negative eigenvalue then raises :class:`NonAdmissibleError`,
+    for a potential that is not strictly convex there is no metric.
     """
     if not np.isfinite(G).all():
         raise DegeneratePotentialError("Hessian has a non-finite entry")
@@ -301,7 +300,6 @@ def _checked_inverse(G: np.ndarray) -> np.ndarray:
         )
     if not (eigenvalues[..., 0] > 0.0).all():
         raise NonAdmissibleError(f"Hessian is not positive definite (smallest eigenvalue = {np.min(eigenvalues):.2e})")
-    return np.linalg.inv(G)
 
 
 def hessian_general(
@@ -342,7 +340,8 @@ def hessian_general(
         per_row,
         rows,
     ).reshape(x.shape + (n,))
-    return HessianEval(x=x, G=G, G_inv=_checked_inverse(G))
+    _check_hessians(G)
+    return HessianEval(x=x, G=G, G_inv=np.linalg.inv(G))
 
 
 def scalar_curvature_reduced(pot: TPotential, n: int, t: float | np.ndarray) -> float | np.ndarray:
@@ -574,6 +573,6 @@ def _roundtrip_rows(f: RadialKahlerPotential, a: np.ndarray) -> tuple[np.ndarray
 
     G_inv = _t_family_inverse(x, dual.F2)
     hess_a = _richardson_combine(values, h)
-    _checked_inverse(hess_a)
+    _check_hessians(hess_a)
     hessian_residual = np.max(np.abs(hess_a - G_inv), axis=(-2, -1))
     return x, s, t, gradient_residual, duality_gap, hessian_residual

@@ -17,10 +17,6 @@ class SingularPointError(DomainError):
     """Series division by a jet whose constant term vanishes."""
 
 
-class InsufficientOrderError(ToricError, ValueError):
-    """A derivative of higher order than the jet carries was requested."""
-
-
 class NearBoundaryError(DomainError):
     """A point is too close to the polytope boundary for log-type terms."""
 

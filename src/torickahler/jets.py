@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InsufficientOrderError, SingularPointError
+from .errors import DomainError, SingularPointError
 
 __all__ = [
     "TaylorJet",
@@ -41,7 +41,6 @@ __all__ = [
     "arith",
     "ln_jet",
     "jet_pow",
-    "derivative",
 ]
 
 class TaylorJet:
@@ -285,14 +284,3 @@ def jet_pow(a: TaylorJet, m: int) -> TaylorJet:
         if m:
             square = arith(square, square, "mul")
     return constant(1.0, a.base, a.order) if result is None else result
-
-
-def derivative(a: TaylorJet, k: int) -> float | np.ndarray:
-    """k-th derivative of the represented function at the base point(s) (k! * c_k)."""
-    if k < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if k > a.order:
-        raise InsufficientOrderError(
-            f"jet of order {a.order} cannot supply derivative {k}"
-        )
-    return math.factorial(k) * a.coefficients[k]

@@ -71,7 +71,6 @@ __all__ = [
     "f2_value",
     "admissible_f2",
     "admissibility",
-    "legendre_dual",
     "kahler_to_t_potential",
     "local_t_potential",
     "symplectic_evaluator",
@@ -489,18 +488,13 @@ class TDual(NamedTuple):
     F2: float | np.ndarray
 
 
-def legendre_dual(f: RadialKahlerPotential, s: float | np.ndarray, t: float | np.ndarray) -> TDual:
-    """The Legendre relations at the s where gamma(s) = 2 s f'(s) equals t.
+def _legendre_relations(s, t, f0, f1, f2) -> TDual:
+    """The Legendre relations from (f0, f1, f2) = (f, f', f'') at the s where gamma(s) = 2 s f'(s) equals t.
 
     F(t) = t ln(s/t) - 2 f(s), and F''(t) = 1/(s gamma'(s)) - 1/t follows from
     differentiating it along the inverse map.  Floats give floats; arrays of s
     and t (one batched radial jet) give arrays.
     """
-    return _legendre_relations(s, t, *radial_derivatives(f, s))
-
-
-def _legendre_relations(s, t, f0, f1, f2) -> TDual:
-    """:func:`legendre_dual` from the profile's derivatives (f0, f1, f2) at s."""
     gamma_slope = 2.0 * f1 + 2.0 * s * f2
     return TDual(s=s, F=t * _elementwise(np.log, s / t) - 2.0 * f0, F2=1.0 / (s * gamma_slope) - 1.0 / t)
 
@@ -522,7 +516,7 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float) -> TDual:
 
     The root is bracketed (gamma is monotone wherever f is admissible) and
     found by Newton's method safeguarded by bisection;
-    :func:`legendre_dual` turns it into F and F''.  The bracket grows from
+    :func:`_legendre_relations` turns it into F and F''.  The bracket grows from
     s = t toward the root, since gamma increases: s doubles while
     gamma(s) < t, or halves while gamma(s) > t, and a 201st step raises
     :class:`BracketRangeError`.  Before the search, gamma' is
@@ -570,7 +564,7 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float) -> TDual:
         u = probes[failing[0]]
         raise NonAdmissibleError(f"gamma is not invertible on the bracket (slope <= 0 at s = {u})")
     if gamma == t:
-        return legendre_dual(f, s, t)
+        return _legendre_relations(s, t, *radial_derivatives(f, s))
 
     # gamma(lo) < t < gamma(hi) from here on.
     eps = float(np.finfo(float).eps)
@@ -581,7 +575,8 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float) -> TDual:
         residual = gamma - t
         newton = residual / slope if slope > 0.0 else math.inf
         if abs(residual) <= 2.0 * eps * t or abs(newton) <= 4.0 * eps * abs(s):
-            return legendre_dual(f, s - newton if slope > 0.0 else s, t)
+            s = s - newton if slope > 0.0 else s
+            return _legendre_relations(s, t, *radial_derivatives(f, s))
         if residual < 0.0:
             lo = s
         else:

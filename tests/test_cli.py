@@ -433,6 +433,9 @@ def test_unwritable_destination(capsys):
         ["decay", "--dim", "3", "--tol", "inf"],
         ["admissible", "--potential", "burns_simanca", "--t-range", "1.1..2"],
         ["curvature", "--potential", "fubini_study", "--dim", "3", "--point", "0.1,0.2"],
+        ["verify-catalog", "--dims", "2..2", "--seed", "-1"],
+        ["derive", "--dim", "3", "--seed", "-1"],
+        ["legendre", "--seed", "-3"],
     ],
 )
 def test_malformed_input_exits_two(capsys, argv):

@@ -706,6 +706,32 @@ def test_legendre_rejects_non_admissible():
         legendre_roundtrip(falling, [0.0, 0.0])
 
 
+def test_legendre_roundtrip_refuses_a_degenerate_hessian():
+    # f = s/2 has the Hessian diag(2 e^{2 a_i}) in a, so at a = (-10, 0) the
+    # eigenvalue ratio is about e^-20 = 2e-9, below the check's 1e-8.
+    with pytest.raises(DegeneratePotentialError, match="numerically singular"):
+        legendre_roundtrip(flat_radial(), [-10.0, 0.0])
+
+
+def test_only_hessian_general_inverts(monkeypatch):
+    # The roundtrip compares its Hessians in a with G^{-1} in closed form, so
+    # it checks them and inverts none; hessian_general inverts once per call.
+    calls = []
+    original = np.linalg.inv
+
+    def counted(G):
+        calls.append(np.shape(G))
+        return original(G)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    legendre_roundtrip(fubini_study_radial(), np.random.default_rng(19).uniform(-0.8, 0.8, (5, 3)))
+    assert calls == []
+    g = lambda x: (x * x).sum(axis=-1)  # noqa: E731
+    hessian_general(g, [1.0, 2.0])
+    hessian_general(g, np.ones((4, 2)))
+    assert calls == [(2, 2), (4, 2, 2)]
+
+
 def _count_radial_jets(monkeypatch):
     """Count radial jets, whether reached through ``potentials`` or ``curvature``."""
     calls = []
@@ -893,7 +919,7 @@ def test_non_finite_hessian_is_degenerate():
         with pytest.raises(DegeneratePotentialError):
             fn(g, [1.0, 1.0])
     with pytest.raises(DegeneratePotentialError):
-        curvature._checked_inverse(np.array([[[1.0, 0.0], [0.0, math.inf]]]))
+        curvature._check_hessians(np.array([[[1.0, 0.0], [0.0, math.inf]]]))
 
 
 def test_saddle_is_no_metric():

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torickahler import jets
-from torickahler.errors import DomainError, InsufficientOrderError, SingularPointError
+from torickahler.errors import DomainError, SingularPointError
 from torickahler.jets import (
     TaylorJet,
     arith,
     constant,
-    derivative,
     jet_pow,
     ln_jet,
     variable,
@@ -94,21 +93,10 @@ def test_ln_rejects_nonpositive_constant_term():
         ln_jet(TaylorJet(0.0, (-1.0, 1.0)))
 
 
-def test_derivative_extracts_k_factorial_ck():
-    jet = TaylorJet(0.0, (0.0, -1.0, -0.5, -1.0 / 3.0))
-    assert derivative(jet, 2) == -1.0
-
-
 def test_derivative_of_reciprocal():
     # d/dt 1/(1-t) = (1-t)^-2, which is 4 at t = 1/2.
     jet = 1.0 / (1.0 - variable(0.5, 3))
-    assert derivative(jet, 1) == pytest.approx(4.0, abs=1e-12)
-
-
-def test_derivative_beyond_order():
-    jet = constant(1.0, base=0.0, order=3)
-    with pytest.raises(InsufficientOrderError):
-        derivative(jet, 4)
+    assert jet.coefficients[1] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_nonfinite_coefficients_rejected():
@@ -147,17 +135,17 @@ def test_leibniz_rule_for_first_derivative(ac, bc):
     a = TaylorJet(0.3, tuple(ac[:size]))
     b = TaylorJet(0.3, tuple(bc[:size]))
     product = arith(a, b, "mul")
-    lhs = derivative(product, 1)
-    rhs = derivative(a, 1) * b.coefficients[0] + a.coefficients[0] * derivative(b, 1)
+    lhs = product.coefficients[1]
+    rhs = a.coefficients[1] * b.coefficients[0] + a.coefficients[0] * b.coefficients[1]
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_jet_pow_matches_repeated_multiplication():
     t = variable(1.7, 5)
     cubed = jet_pow(t, 3)
-    assert derivative(cubed, 0) == pytest.approx(1.7**3, rel=1e-15)
-    assert derivative(cubed, 2) == pytest.approx(6 * 1.7, rel=1e-14)
-    assert derivative(cubed, 4) == 0.0
+    assert cubed.coefficients[0] == pytest.approx(1.7**3, rel=1e-15)
+    assert 2 * cubed.coefficients[2] == pytest.approx(6 * 1.7, rel=1e-14)
+    assert 24 * cubed.coefficients[4] == 0.0
 
 
 # Larger steps for k >= 3: at h = 1e-4 the rounding noise of a k-th order
@@ -182,7 +170,7 @@ def test_jet_derivatives_match_finite_differences(pot, n, t):
 
     for k in range(1, 5):
         expected = central_derivative(f2, t, k, FD_STEPS[k])
-        got = derivative(jet, k)
+        got = math.factorial(k) * jet.coefficients[k]
         assert got == pytest.approx(expected, rel=1e-5, abs=1e-8)
 
 

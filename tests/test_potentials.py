@@ -12,7 +12,7 @@ from torickahler.errors import (
     NearBoundaryError,
     NonAdmissibleError,
 )
-from torickahler.jets import derivative, jet_pow, ln_jet, variable
+from torickahler.jets import jet_pow, ln_jet, variable
 from torickahler.potentials import (
     RadialKahlerPotential,
     admissibility,
@@ -25,7 +25,6 @@ from torickahler.potentials import (
     fubini_study_radial,
     generalized_burns_potential,
     kahler_to_t_potential,
-    legendre_dual,
     local_t_potential,
     radial_derivatives,
     radial_jet,
@@ -46,9 +45,9 @@ from helpers import central_derivative
 def test_fubini_study_jet_derivatives():
     # F'' = (1-t)^-1: derivatives 2, 4, 16 at t = 1/2.
     jet = f2_jet(fubini_study_potential(), 0.5, 2)
-    assert derivative(jet, 0) == pytest.approx(2.0, abs=1e-13)
-    assert derivative(jet, 1) == pytest.approx(4.0, abs=1e-12)
-    assert derivative(jet, 2) == pytest.approx(16.0, abs=1e-11)
+    assert jet.coefficients[0] == pytest.approx(2.0, abs=1e-13)
+    assert jet.coefficients[1] == pytest.approx(4.0, abs=1e-12)
+    assert 2 * jet.coefficients[2] == pytest.approx(16.0, abs=1e-11)
 
 
 def test_flat_jet_is_zero():
@@ -162,18 +161,6 @@ def test_kahler_to_t_fubini_study():
     assert result.s == pytest.approx(1.0, rel=1e-11)
     assert result.F == pytest.approx(0.5 * math.log(0.5), rel=1e-11)
     assert result.F2 == pytest.approx(2.0, rel=1e-10)
-
-
-def test_legendre_dual_takes_a_batch():
-    f = fubini_study_radial()
-    s, t = np.array([0.3, 1.0, 4.0]), np.array([0.2, 0.5, 0.8])
-    batch = legendre_dual(f, s, t)
-    for k in range(3):
-        one = legendre_dual(f, float(s[k]), float(t[k]))
-        assert all(type(v) is float for v in one)
-        # numpy's vector and scalar log loops may differ in the last bit.
-        assert batch.F[k] == pytest.approx(one.F, rel=4 * np.finfo(float).eps, abs=0.0)
-        assert batch.F2[k] == one.F2
 
 
 def test_kahler_to_t_out_of_range():

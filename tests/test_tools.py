@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import re
 import subprocess
@@ -59,3 +60,15 @@ def test_bench_summary_pairs_runs_and_keeps_the_ab_cycles_line(tmp_path):
     assert (ops["change_wins"], ops["parent_wins"]) == (2, 1)
     assert ops["parent"]["median"] == 11.0 and ops["change"]["median"] == 14.0
     assert summary["ab_cycles"] == ["abreu_cross: median A/B 2.000 over 1 pairs; B faster in 1/1"]
+
+
+def test_every_registered_mutant_applies_once():
+    # Runs no mutant: a registry whose old texts drifted from the source
+    # would mutate nothing, so each must still occur exactly once.
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    for mutant in mutants.MUTANTS:
+        assert mutant.old != mutant.new, mutant.reason
+        assert (ROOT / mutant.path).read_text().count(mutant.old) == 1, mutant.reason
