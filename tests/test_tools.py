@@ -69,6 +69,7 @@ def test_every_registered_mutant_applies_once():
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
     assert mutants.MUTANTS
-    for mutant in mutants.MUTANTS:
+    assert mutants.INTEGRITY_TEST.endswith("::" + test_every_registered_mutant_applies_once.__name__)
+    for mutant in (mutants.EQUIVALENT, *mutants.MUTANTS):
         assert mutant.old != mutant.new, mutant.reason
         assert (ROOT / mutant.path).read_text().count(mutant.old) == 1, mutant.reason

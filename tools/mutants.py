@@ -7,13 +7,19 @@ it, the text that replaces it, and why the suite must notice.  The runner
 copies ``src/`` and ``tests/`` into a temporary directory, with what the
 tests also read: ``tools/``, ``perfbench/``, ``BENCHMARK.json``, and
 ``pyproject.toml`` for the pytest settings (warnings are errors).  There it
-first runs the suite unmutated, which must pass and import the copy of the
-package.  Then it applies one mutant at a time, runs ``pytest -x -q`` and
-puts the file back.  A run that fails or times out kills its mutant.
+applies one mutant at a time, runs ``pytest -x -q`` and puts the file back.
+A run that fails or times out kills its mutant.  The registry's own
+integrity test is deselected in the copy: it reads the mutated file, so it
+would kill every mutant whose new text drops the old one.
+
+Before the mutants, the runner checks that the copy imports its own
+package, and that ``EQUIVALENT`` (a change of spacing only) survives: the
+suite passes in the copy, and a mutant the tests cannot see is reported.
 
 The exit status is 0 when every mutant is killed, 1 when one survives, and
-2 when the unmutated copy fails.  A change that makes a check failable adds
-its mutant here; a mutant that survives gets a test that kills it.
+2 when the copy imports another package or kills the equivalent mutant.  A
+change that makes a check failable adds its mutant here; a mutant that
+survives gets a test that kills it.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "tools", "perfbench", "BENCHMARK.json", "pyproject.toml")
 #: A run slower than this is taken as a hang, which kills its mutant.
 TIMEOUT_S = 600
+#: Reads the registered files, which the copy mutates; see the module docstring.
+INTEGRITY_TEST = "tests/test_tools.py::test_every_registered_mutant_applies_once"
 
 
 class Mutant(NamedTuple):
@@ -43,6 +51,10 @@ class Mutant(NamedTuple):
 CURVATURE = "src/torickahler/curvature.py"
 POTENTIALS = "src/torickahler/potentials.py"
 CLI = "src/torickahler/cli.py"
+
+#: Changes no behaviour, so the suite must pass with it applied.
+EQUIVALENT = Mutant(CURVATURE, "2 * (n + 1) * t * phi1", "2 * (n+1) * t * phi1",
+                    "equivalent: the spacing of reduced S's first-derivative term")
 
 MUTANTS = (
     Mutant(CURVATURE, "2 * (n + 1) * t * phi1", "2 * n * t * phi1",
@@ -114,16 +126,29 @@ def _copy_tree(destination: Path) -> None:
             shutil.copy2(source, destination / name)
 
 
-def _run_suite(workdir: Path, env: dict) -> tuple[bool, str]:
-    """Whether ``pytest -x -q`` passes in ``workdir``, and its output."""
+def _run_mutant(workdir: Path, env: dict, mutant: Mutant) -> tuple[bool, str]:
+    """Whether ``pytest -x -q`` passes in ``workdir`` with ``mutant`` applied, and its output."""
+    target = workdir / mutant.path
+    original = target.read_text()
+    target.write_text(original.replace(mutant.old, mutant.new))
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect", INTEGRITY_TEST],
             cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
         return False, f"timed out after {TIMEOUT_S} s"
+    finally:
+        target.write_text(original)
     return proc.returncode == 0, (proc.stdout + proc.stderr).strip()
+
+
+def _first_failure(output: str) -> str:
+    """The test that failed first in a ``pytest -q`` output, or why the run failed."""
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split()[1]
+    return output.splitlines()[-1] if output else "no output"
 
 
 def main() -> int:
@@ -141,21 +166,17 @@ def main() -> int:
         if not Path(where).resolve().is_relative_to(workdir.resolve() / "src"):
             print(f"error: the copy imported the package from {where!r}", file=sys.stderr)
             return 2
-        passed, output = _run_suite(workdir, env)
+        passed, output = _run_mutant(workdir, env, EQUIVALENT)
         if not passed:
-            print(f"error: the unmutated copy fails:\n{output[-4000:]}", file=sys.stderr)
+            print(f"error: the equivalent mutant is killed:\n{output[-4000:]}", file=sys.stderr)
             return 2
         survivors = 0
         for k, mutant in enumerate(MUTANTS, start=1):
-            target = workdir / mutant.path
-            original = target.read_text()
-            target.write_text(original.replace(mutant.old, mutant.new))
             began = time.perf_counter()
-            passed, _ = _run_suite(workdir, env)
-            target.write_text(original)
+            passed, output = _run_mutant(workdir, env, mutant)
             survivors += passed
-            verdict = "SURVIVED" if passed else "killed"
-            print(f"{k:2d} {verdict:8s} {time.perf_counter() - began:5.1f} s  {mutant.path}: {mutant.reason}", flush=True)
+            verdict = "SURVIVED" if passed else "killed by " + _first_failure(output)
+            print(f"{k:2d} {time.perf_counter() - began:5.1f} s  {mutant.path}: {mutant.reason}: {verdict}", flush=True)
     print(f"{len(MUTANTS)} mutants, {survivors} survived, {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0
 
