@@ -109,7 +109,6 @@ class CurvatureReport:
     fit_intercept: float
     fit_slope: float
     max_residual: float
-    tolerance: float
     extremal: bool
 
 
@@ -302,6 +301,15 @@ def _check_hessians(G: np.ndarray) -> None:
         raise NonAdmissibleError(f"Hessian is not positive definite (smallest eigenvalue = {np.min(eigenvalues):.2e})")
 
 
+def _largest_norm(x: np.ndarray) -> float:
+    """|x|, or a batch's largest row norm, which default steps scale with; :class:`DomainError` if it overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=-1).max())
+    if norm == math.inf:
+        raise DomainError(f"|x| overflows (largest |x_i| = {np.max(np.abs(x)):g}); no finite-difference step fits it")
+    return norm
+
+
 def hessian_general(
     g: Callable[[np.ndarray], np.ndarray], x: Sequence[float] | np.ndarray, step: float | None = None
 ) -> HessianEval:
@@ -319,9 +327,10 @@ def hessian_general(
     (h, h/2) removes the leading h^2 error; the result is symmetric by
     construction, and its diagonal is bit for bit that of the four-corner
     stencil.  ``step`` is one h for every point, by default
-    ``max(1e-4, 1e-4 |x|)`` for the largest |x| of the batch.  A non-finite
-    or numerically singular Hessian raises :class:`DegeneratePotentialError`,
-    and one that is not positive definite :class:`NonAdmissibleError`.
+    ``max(1e-4, 1e-4 |x|)`` for the largest |x| of the batch (an |x| that
+    overflows raises :class:`DomainError`).  A non-finite or numerically
+    singular Hessian raises :class:`DegeneratePotentialError`, and one that is
+    not positive definite :class:`NonAdmissibleError`.
     Keep ``x`` more than ``2 * step`` away from any boundary of ``g``'s
     domain; the stencil reaches that far.
     """
@@ -329,7 +338,7 @@ def hessian_general(
     if x.ndim not in (1, 2) or x.size == 0:
         raise DomainError("x must be a nonempty point (n,) or batch of points (rows, n)")
     if step is None:
-        step = max(1e-4, 1e-4 * float(np.linalg.norm(x) if x.ndim == 1 else np.linalg.norm(x, axis=-1).max()))
+        step = max(1e-4, 1e-4 * _largest_norm(x))
     n, rows = x.shape[-1], np.atleast_2d(x)
     per_row = 1 + 2 * n + 2 * n**2
     # One buffer for every block: a fresh points array per block would be
@@ -408,7 +417,7 @@ def _check_resolved(n: int, t, inputs: tuple, D2, terms: tuple, flat) -> None:
 
 def _abreu_steps(x: np.ndarray, step: float | None) -> tuple[float, float]:
     """The outer step (``step`` if given) and the inner Hessian step of :func:`scalar_curvature_abreu`."""
-    scale = 1.0 + float(np.linalg.norm(x))
+    scale = 1.0 + _largest_norm(x)
     return (0.02 * scale if step is None else step), 1.5e-3 * scale
 
 
@@ -476,14 +485,12 @@ def extremal_check(pot: TPotential, n: int, t_samples: Sequence[float]) -> Curva
     coeffs, *_ = np.linalg.lstsq(design, values, rcond=None)
     residuals = values - design @ coeffs
     max_residual = float(np.max(np.abs(residuals)))
-    tolerance = 1e-6 * (1.0 + float(np.max(np.abs(values))))
     return CurvatureReport(
         points=tuple(zip(ts.tolist(), values.tolist())),
         fit_intercept=float(coeffs[0]),
         fit_slope=float(coeffs[1]),
         max_residual=max_residual,
-        tolerance=tolerance,
-        extremal=max_residual < tolerance,
+        extremal=max_residual < 1e-6 * (1.0 + float(np.max(np.abs(values)))),
     )
 
 

@@ -36,7 +36,7 @@ checks apply to every point of a batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -203,20 +203,14 @@ def fubini_study_potential() -> TPotential:
 
 
 def generalized_burns_potential() -> TPotential:
-    """F''(t) = 1/(t(t-1)) on (1, inf).
+    """F''(t) = 1/(t(t-1)) on (1, inf), the scalar-flat family at n = 1, a = 0, b = 1.
 
-    This is the restriction of the ambient product metric to the blow-up; the
-    closed form for F is (t-1) ln(t-1) - t ln t - t + 1.
+    This is the restriction of the ambient product metric to the blow-up; F has a closed form.
     """
-
-    def jfn(t: float, order: int) -> TaylorJet:
-        tj = variable(t, order)
-        return 1.0 / (tj * (tj - 1.0))
-
-    def value(t):
-        return (t - 1.0) * np.log(t - 1.0) - t * np.log(t) - t + 1.0
-
-    return TPotential("generalized_burns", (1.0, math.inf), jfn, value_fn=value)
+    return replace(
+        scalar_flat_family(1, 0.0, 1.0, label="generalized_burns", domain=(1.0, math.inf)),
+        value_fn=lambda t: (t - 1.0) * np.log(t - 1.0) - t * np.log(t) - t + 1.0,
+    )
 
 
 def _integer_form(coeffs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -299,30 +293,30 @@ def _ldexp(jet: TaylorJet, e: int | np.ndarray) -> TaylorJet:
     """The jet times 2^e (an int, or an int array for a batch), exact while coefficients stay normal."""
     if isinstance(jet.base, np.ndarray):
         return TaylorJet(jet.base, tuple(np.ldexp(c, e) for c in jet.coefficients))
-    return TaylorJet(jet.base, tuple(math.ldexp(c, e) for c in jet.coefficients))
+    return TaylorJet(jet.base, tuple(math.ldexp(c, int(e)) for c in jet.coefficients))
 
 
 def _scaled_pow(tj: TaylorJet, n: int) -> tuple[TaylorJet, int | np.ndarray]:
     """``(p, e)`` with ``t^n = p 2^e`` for the jet ``tj`` of t and n >= 1.
 
     This is :func:`jet_pow`'s repeated squaring, except that every factor and
-    product whose value passes 2^_POW_CAP is brought into [1, 2) by a power of
-    two, and so is ``p`` wherever e > 0.  That is exact, so ``p`` has the bits
-    of ``jet_pow(tj, n) 2^-e`` wherever those are finite, and no partial power
-    overflows at any n and t.  Where every t^n is at most 2^_POW_CAP nothing
-    passes the cap, and the loop is skipped for ``(jet_pow(tj, n), 0)``.
+    product whose value passes 2^_POW_CAP, or is scaled already, is brought
+    into [1/2, 1) by a power of two.  That is exact, so ``p`` has the bits of
+    ``jet_pow(tj, n) 2^-e`` wherever those are finite, no partial power's
+    value leaves the float range at any n and t, and t p is finite at every t.
+    Where t^n is at most 2^_POW_CAP the loop is skipped: ``(jet_pow(tj, n), 0)``.
     """
     t = tj.base
     if (float(t.max()) if isinstance(t, np.ndarray) else t) <= 2.0 ** (_POW_CAP / n):
         return jet_pow(tj, n), 0
 
-    def rescale(jet: TaylorJet, e, where=None) -> tuple[TaylorJet, int | np.ndarray]:
+    def rescale(jet: TaylorJet, e) -> tuple[TaylorJet, int | np.ndarray]:
         v = jet.value
-        where = v > 2.0**_POW_CAP if where is None else where
+        where = (v > 2.0**_POW_CAP) | (e != 0)
         if isinstance(v, np.ndarray):
-            shift = np.where(where, np.frexp(v)[1] - 1, 0)
+            shift = np.where(where, np.frexp(v)[1], 0)
         else:
-            shift = (math.frexp(v)[1] - 1) * where
+            shift = math.frexp(v)[1] * where
         return (_ldexp(jet, -shift), e + shift) if _any(shift) else (jet, e)
 
     (square, e_square), result = rescale(tj, 0), None
@@ -330,8 +324,8 @@ def _scaled_pow(tj: TaylorJet, n: int) -> tuple[TaylorJet, int | np.ndarray]:
         if n & 1:
             result, e = (square, e_square) if result is None else rescale(result * square, e + e_square)
         n >>= 1
-        if not n:  # a scaled t^n ends in [1, 2): t times it is finite below t = 2^1023
-            return rescale(result, e, e != 0)
+        if not n:
+            return result, e
         square, e_square = rescale(square * square, 2 * e_square)
 
 
@@ -349,14 +343,13 @@ def scalar_flat_family(
     the interval right of the gap's largest root; a member with none (n = 1
     with a > 1, or a = 1 and b >= 0) raises :class:`DomainError`.
 
-    The jet is ``numer / (t (t^n - numer))`` with ``numer = a t + b``, one
-    formula at every t.  Where t^n passes 2^400, ``t^n`` and ``numer`` are
-    divided by the same power of two (:func:`_scaled_pow`): the quotient
-    keeps the unscaled formula's bits wherever those are finite, nothing
-    overflows, and as the scaled t^n is at least 1, the scaled ``numer`` is
-    at least t F''.  Where F'' is subnormal its value is returned, but a jet
-    of order one or more raises :class:`DomainError` unless a t + b = 0 (or
-    t^n <= 2^400, where that needs |a t + b| < 2^-221).
+    The jet is ``numer / (t (t^n - numer))``, ``numer = a t + b`` or the number
+    b where a = 0, at every t.  Where t^n passes 2^400, ``t^n`` and ``numer``
+    are divided by one power of two (:func:`_scaled_pow`): the quotient keeps
+    the unscaled formula's bits wherever those are finite, nothing overflows,
+    and the scaled ``numer`` is at least t F''/2.  Where F'' is subnormal its
+    value is returned, but a jet of order one or more raises :class:`DomainError`
+    unless a t + b = 0 (or t^n <= 2^400, where that needs |a t + b| < 2^-221).
     """
     if n < 1:
         raise DimensionError("the family needs dimension n >= 1")
@@ -368,18 +361,19 @@ def scalar_flat_family(
     def jfn(t: float | np.ndarray, order: int) -> TaylorJet:
         tj = variable(t, order)
         power, e = _scaled_pow(tj, n)
-        numer = a * tj + b
-        if _any(e):
-            numer = _ldexp(numer, -e)
+        if _any(e):  # a t + b at 2^-k, rounded once at 2^-e; k > 0 only where (|a| + |b|) t could pass 2^1000
+            k = np.maximum(np.frexp(t)[1] + math.frexp(abs(a) + abs(b))[1] - 1000, 0)
+            linear = a * _ldexp(tj, -k) + np.ldexp(b, -k)
+            numer = _ldexp(linear, k - e)
+        else:
+            numer = a * tj + b if a else b
         gap = power - numer
         if not _smallest(gap.value) > 0.0:
             bad = t[np.argmin(gap.value)] if isinstance(t, np.ndarray) else t
             raise DomainError(f"t^{n} - ({a} t + {b}) must be positive; t={bad} is outside")
         f2 = numer / (tj * gap)
-        # With e = 0, t and t^n are at most 2^400, so F'' is subnormal only
-        # where |a t + b| < 2^-221; the refusal checks the scaled points.
         if order and _any(e):
-            lost = (abs(f2.value) < _TINY) & (a * t + b != 0.0)
+            lost = (abs(f2.value) < _TINY) & (linear.value != 0.0)
             if _any(lost):
                 bad = t[lost][0] if isinstance(t, np.ndarray) else t
                 raise DomainError(f"F'' underflows at t={bad}; its derivatives are not representable")

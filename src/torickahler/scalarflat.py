@@ -179,7 +179,6 @@ def burns_simanca_potential(n: int) -> TPotential:
 
 class DeltaCheckReport(NamedTuple):
     passed: bool
-    min_delta: float
     max_det_deviation: float
     witness: float | None
 
@@ -205,8 +204,7 @@ def delta_check(match: BoundaryMatch, t_samples: Sequence[float], *, seed: int =
     deltas = {t: match.delta(t) for t in ts}
     for t, value in deltas.items():
         if not math.isfinite(value) or value <= 0.0:
-            return DeltaCheckReport(False, value, math.inf, t)
-    min_delta = min(deltas.values())
+            return DeltaCheckReport(False, math.inf, t)
 
     # Every sample reaching the Hessian has t > 1 and delta(t) > 0, hence
     # t^n - A t - B > 0; so the domain is the checked interval [1, inf), not the
@@ -226,8 +224,8 @@ def delta_check(match: BoundaryMatch, t_samples: Sequence[float], *, seed: int =
     failing = np.flatnonzero(deviations > DELTA_TOL)
     if failing.size:
         k = int(failing[0])
-        return DeltaCheckReport(False, min_delta, float(deviations[: k + 1].max()), float(row_t[k]))
-    return DeltaCheckReport(True, min_delta, float(deviations.max(initial=0.0)), None)
+        return DeltaCheckReport(False, float(deviations[: k + 1].max()), float(row_t[k]))
+    return DeltaCheckReport(True, float(deviations.max(initial=0.0)), None)
 
 
 @cache

@@ -376,8 +376,11 @@ def test_decay_report_marks_the_samples_left_out_of_the_fit(capsys, argv, unfitt
     # The fit reads samples past the first decade of u whose F'' = deviation/u is a normal float.
     code, out = run(capsys, "decay", *argv)
     assert code == 0
-    _, samples = json.loads(out)["results"]
-    rows = samples["measured"]
+    payload = json.loads(out)
+    assert list(payload) == ["command", "inputs", "results", "overall", "table"]
+    assert [r["name"] for r in payload["results"]] == ["fitted_slope"]
+    assert payload["table"]["columns"] == ["u", "deviation", "fitted"]
+    rows = payload["table"]["rows"]
     u_min = rows[0][0]
     assert [fitted for _, _, fitted in rows] == [u >= 10 * u_min and d >= u * sys.float_info.min for u, d, _ in rows]
     assert sum(not fitted for _, _, fitted in rows) == unfitted
@@ -518,6 +521,40 @@ def test_flat_curvature_at_the_largest_t_is_zero_without_warnings():
     proc = _run_module("curvature", "--potential", "flat", "--dim", "1", "--t", "1e308")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["results"][0]["measured"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["decay", "--dim", "2", "--u-max", "1.7e308"], 0, None),
+        (["decay", "--dim", "3", "--u-max", "1.7e308"], 0, None),
+        (["decay", "--dim", "8", "--u-max", "1.7e308"], 0, None),
+        (["admissible", "--potential", "generalized_burns", "--t-range", "1.0001..1.7e308"], 0, None),
+        (["admissible", "--potential", "burns_simanca", "--dim", "3", "--t-range", "1.001..1.7e308"], 0, None),
+        (["curvature", "--potential", "generalized_burns", "--dim", "3", "--t", "1e200"], 2,
+         "error: F'' underflows at t=1e+200; its derivatives are not representable\n"),
+        (["curvature", "--potential", "burns_simanca", "--dim", "3", "--t", "1.7e308"], 2,
+         "error: F'' underflows at t=1.7e+308; its derivatives are not representable\n"),
+        (["curvature", "--potential", "flat", "--dim", "2", "--point", "1e160,1e160"], 2,
+         "error: |x| overflows (largest |x_i| = 1e+160); no finite-difference step fits it\n"),
+    ],
+    ids=["decay_n2", "decay_n3", "decay_n8", "admissible_generalized_burns", "admissible_burns_simanca_n3",
+         "generalized_burns_t1e200", "burns_simanca_t1.7e308", "flat_point1e160"],
+)
+def test_the_float_range_keeps_the_exit_contract_without_warnings(argv, code, message):
+    # Up to the float maximum, t (t^n - a t - b) and a t + b are formed at a
+    # power-of-two scale, and |x| is refused where it overflows.
+    proc = _run_module(*argv)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr == message
+        return
+    payload = json.loads(proc.stdout)
+    assert payload["overall"] == "pass"
+    if argv[0] == "decay":
+        (slope,) = payload["results"]
+        assert slope["expected"] == 1 - int(argv[2])
+        assert slope["measured"] == pytest.approx(slope["expected"], abs=1e-6)
 
 
 def test_runtime_imports_no_scipy():

@@ -912,6 +912,18 @@ def test_finite_differences_refuse_a_nan_canonical_point():
             fn(g, [1.0, math.nan, 1.0])
 
 
+def test_finite_differences_refuse_a_point_whose_norm_overflows():
+    # The default steps scale with |x|, which overflows past about 1.3e154.
+    g = lambda x: np.sum(x**2, axis=-1)  # noqa: E731
+    for fn, x in [
+        (hessian_general, [1e160, 1e160]),
+        (hessian_general, [[1.0, 1.0], [1e160, 1e160]]),
+        (scalar_curvature_abreu, [1e160, 1e160]),
+    ]:
+        with pytest.raises(DomainError, match=r"\|x\| overflows \(largest \|x_i\| = 1e\+160\)"):
+            fn(g, x)
+
+
 def test_non_finite_hessian_is_degenerate():
     # A g that is NaN on part of the stencil must not reach eigvalsh.
     g = lambda x: np.where(x[..., 0] > 1.0, math.nan, x[..., 0] ** 2 + x[..., 1] ** 2)  # noqa: E731

@@ -59,6 +59,21 @@ def test_generalized_burns_value():
     assert f2_value(generalized_burns_potential(), 2.0) == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("order", range(7))
+def test_generalized_burns_jet_is_one_over_t_t_minus_one_bit_for_bit(order):
+    # The family at n = 1, a = 0, b = 1 keeps the number b as its numerator, so
+    # up to t = 2^400 its jet is these three jet operations, one t at a time
+    # and as one batch.
+    pot = generalized_burns_potential()
+    ts = np.append(np.geomspace(1.0 + 1e-9, 2.0**399, 96), 2.0**400)
+    batched = f2_jet(pot, ts, order).coefficients
+    for i, t in enumerate(ts.tolist()):
+        tj = variable(t, order)
+        want = [c.hex() for c in (1.0 / (tj * (tj - 1.0))).coefficients]
+        assert [c.hex() for c in f2_jet(pot, t, order).coefficients] == want, t
+        assert [float(c[i]).hex() for c in batched] == want, t
+
+
 def test_f2_jet_outside_domain():
     with pytest.raises(DomainError):
         f2_jet(fubini_study_potential(), 1.2, 2)

@@ -75,6 +75,8 @@ MUTANTS = (
            "a numerically singular Hessian accepted"),
     Mutant(CURVATURE, "if not (eigenvalues[..., 0] > 0.0).all():", "if False:",
            "a Hessian that is not positive definite accepted"),
+    Mutant(CURVATURE, "    if norm == math.inf:\n", "    if False:\n",
+           "a point whose norm overflows given an infinite step"),
     Mutant(CURVATURE, "    _check_hessians(hess_a)\n", "",
            "the Legendre roundtrip's Hessians unchecked"),
     Mutant(CURVATURE, "admissible = (f1 > 0.0) & (f1 + s * f2 > 0.0)", "admissible = f1 + s * f2 > 0.0",
@@ -97,6 +99,14 @@ MUTANTS = (
            "Chebyshev interpolant accepted at 1e-9"),
     Mutant(POTENTIALS, "if a == 1.0 and b < 0.0:", "if a == 1.0 and b <= 0.0:",
            "n = 1 family with a = 1, b = 0 given a domain"),
+    Mutant(POTENTIALS, "np.where(where, np.frexp(v)[1], 0)", "np.where(where, np.frexp(v)[1] - 1, 0)",
+           "a batch's scaled t^n in [1, 2), so t times it overflows past 2^1023"),
+    Mutant(POTENTIALS, "shift = math.frexp(v)[1] * where", "shift = (math.frexp(v)[1] - 1) * where",
+           "one t's scaled t^n in [1, 2), so t times it overflows past 2^1023"),
+    Mutant(POTENTIALS, "k = np.maximum(np.frexp(t)[1] + math.frexp(abs(a) + abs(b))[1] - 1000, 0)", "k = 0",
+           "a t + b formed unscaled, so it overflows near the float maximum"),
+    Mutant(POTENTIALS, "scalar_flat_family(1, 0.0, 1.0,", "scalar_flat_family(1, 0.0, 2.0,",
+           "generalized Burns with b = 2"),
     Mutant("src/torickahler/jets.py", "    def __reduce__(self):", "    def _reduce(self):",
            "copies and pickles of a jet skip its constructor"),
     Mutant("src/torickahler/scalarflat.py", "remainder = descending[-1] + quotient[-1]",
