@@ -359,6 +359,9 @@ def dispatch(argv: Sequence[str]) -> int:
     except (ToricError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a --samples count too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     return 0 if report.overall == "pass" else 1
 
 

@@ -24,6 +24,11 @@ curvature formulas read come out with no step-size error at all.
 A jet combined with a plain number uses the number directly, with no
 constant jet built for it (see :func:`arith`); that keeps the per-point cost
 of scalar jet code low, and a batch runs the same code as its rows.
+
+The arithmetic builds its jets with one private constructor, which checks only
+the coefficients computed in that step; :class:`TaylorJet` checks them all.
+Products and quotients of orders 0-2, the orders the library asks for, are
+written out in the loop's summation order, ``(a0 b2 + a1 b1) + a2 b0``.
 """
 
 from __future__ import annotations
@@ -61,12 +66,7 @@ class TaylorJet:
     def __init__(self, base: float | np.ndarray, coefficients: tuple) -> None:
         if not coefficients:
             raise ValueError("a jet needs at least the constant coefficient")
-        if isinstance(base, np.ndarray):
-            finite = np.isfinite(coefficients).all()
-        else:
-            finite = all(map(math.isfinite, coefficients))
-        if not finite:
-            raise DomainError("jet coefficients must be finite")
+        _check_finite(base, coefficients)
         _set_base(self, base)
         _set_coefficients(self, coefficients)
 
@@ -125,6 +125,31 @@ _set_base = TaylorJet.base.__set__
 _set_coefficients = TaylorJet.coefficients.__set__
 
 
+def _check_finite(base: float | np.ndarray, values: list | tuple) -> None:
+    """Raise :class:`DomainError` unless every value (every entry, for a batch) is finite."""
+    if isinstance(base, np.ndarray):
+        finite = np.isfinite(values)
+        finite = np.count_nonzero(finite) == finite.size
+    else:
+        finite = all(map(math.isfinite, values))
+    if not finite:
+        raise DomainError("jet coefficients must be finite")
+
+
+def _jet(base: float | np.ndarray, fresh: list, kept: tuple = ()) -> TaylorJet:
+    """The jet ``fresh + kept``, checking only ``fresh``: ``kept`` is from a checked jet, or 0s and 1s."""
+    if type(base) is not float:
+        _check_finite(base, fresh)
+    else:  # one point, the commonest case, checked here without a call
+        for v in fresh:
+            if not math.isfinite(v):
+                raise DomainError("jet coefficients must be finite")
+    jet = object.__new__(TaylorJet)
+    _set_base(jet, base)
+    _set_coefficients(jet, tuple(fresh) + kept)
+    return jet
+
+
 def constant(value, base: float | np.ndarray, order: int) -> TaylorJet:
     """Jet of a constant function: ``[value, 0, ...]``.
 
@@ -141,7 +166,7 @@ def constant(value, base: float | np.ndarray, order: int) -> TaylorJet:
     else:
         zero = 0.0
         value = float(value)
-    return TaylorJet(base, (value,) + (zero,) * order)
+    return _jet(base, [value], (zero,) * order)
 
 
 def variable(base: float | np.ndarray, order: int) -> TaylorJet:
@@ -157,12 +182,12 @@ def variable(base: float | np.ndarray, order: int) -> TaylorJet:
     else:
         base = float(base)
         zero, one = 0.0, 1.0
-    return TaylorJet(base, ((base, one) + (zero,) * (order - 1))[: order + 1])
+    return _jet(base, [base], ((one,) + (zero,) * (order - 1))[:order])
 
 
 def _any(mask) -> bool:
     """Whether a scalar condition holds, or holds at any point of a batch."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else mask
+    return np.count_nonzero(mask) > 0 if isinstance(mask, np.ndarray) else mask
 
 
 def _same_base(x: float | np.ndarray, y: float | np.ndarray) -> bool:
@@ -180,11 +205,39 @@ def _elementwise(fn, x: float | np.ndarray) -> float | np.ndarray:
     return y if isinstance(x, np.ndarray) else float(y)
 
 
-def _check_compatible(a: TaylorJet, b: TaylorJet) -> None:
-    if not _same_base(a.base, b.base):
-        raise DomainError(f"jet base points differ: {a.base} vs {b.base}")
-    if len(a.coefficients) != len(b.coefficients):
-        raise DomainError(f"jet orders differ: {a.order} vs {b.order}")
+def _product(ac: tuple, bc: tuple) -> list:
+    """The truncated Cauchy product ``ac bc``; orders 0-2 written out in the loop's order."""
+    n = len(ac)
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2) = ac, bc
+        return [a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0]
+    if n < 3:
+        return [ac[0] * bc[0]] if n == 1 else [ac[0] * bc[0], ac[0] * bc[1] + ac[1] * bc[0]]
+    coeffs = []
+    for k in range(n):
+        acc = ac[0] * bc[k]
+        for i in range(1, k + 1):
+            acc = acc + ac[i] * bc[k - i]
+        coeffs.append(acc)
+    return coeffs
+
+
+def _quotient(ac: tuple | list, bc: tuple) -> list:
+    """Power-series long division ``ac / bc``, ``bc[0]`` nonzero; orders 0-2 written out in the loop's order."""
+    b0, n = bc[0], len(ac)
+    if n == 1:
+        return [ac[0] / b0]
+    if n <= 3:
+        q0 = ac[0] / b0
+        q1 = (ac[1] - bc[1] * q0) / b0
+        return [q0, q1, (ac[2] - bc[1] * q1 - bc[2] * q0) / b0] if n == 3 else [q0, q1]
+    q = []
+    for k in range(n):
+        acc = ac[k]
+        for i in range(1, k + 1):
+            acc = acc - bc[i] * q[k - i]
+        q.append(acc / b0)
+    return q
 
 
 def arith(a: TaylorJet | float, b: TaylorJet | float, op: str) -> TaylorJet:
@@ -202,13 +255,18 @@ def arith(a: TaylorJet | float, b: TaylorJet | float, op: str) -> TaylorJet:
     jet's bits up to the sign of a zero without building the constant jet.
     Any other operand, such as an ndarray, is lifted with :func:`constant`.
     """
-    if isinstance(a, TaylorJet) and isinstance(b, TaylorJet):
-        _check_compatible(a, b)
-        jet, ac, bc = a, a.coefficients, b.coefficients
+    if type(a) is TaylorJet is type(b) or isinstance(a, TaylorJet) and isinstance(b, TaylorJet):
+        ac, bc = a.coefficients, b.coefficients
+        if a.base is not b.base or len(ac) != len(bc):
+            if not _same_base(a.base, b.base):
+                raise DomainError(f"jet base points differ: {a.base} vs {b.base}")
+            if len(ac) != len(bc):
+                raise DomainError(f"jet orders differ: {a.order} vs {b.order}")
+        jet = a
     else:
         jet, number = (a, b) if isinstance(a, TaylorJet) else (b, a)
         c = jet.coefficients
-        if not isinstance(number, (int, float)):
+        if type(number) is not float and not isinstance(number, (int, float)):
             lifted = constant(number, jet.base, jet.order).coefficients
             ac, bc = (c, lifted) if jet is a else (lifted, c)
         else:
@@ -216,44 +274,31 @@ def arith(a: TaylorJet | float, b: TaylorJet | float, op: str) -> TaylorJet:
             if not math.isfinite(x):
                 raise DomainError("jet coefficients must be finite")
             if op == "add":
-                return TaylorJet(jet.base, (c[0] + x,) + c[1:])
+                return _jet(jet.base, [c[0] + x], c[1:])
             if op == "sub":
                 if jet is a:
-                    return TaylorJet(jet.base, (c[0] - x,) + c[1:])
-                return TaylorJet(jet.base, (x - c[0],) + tuple(-v for v in c[1:]))
+                    return _jet(jet.base, [c[0] - x], c[1:])
+                return _jet(jet.base, [x - c[0]] + [-v for v in c[1:]])
             if op == "mul":
-                return TaylorJet(jet.base, tuple(v * x for v in c))
+                return _jet(jet.base, [v * x for v in c])
             if op == "div" and jet is a:
                 if x == 0.0:
                     raise SingularPointError("division by a jet vanishing at its base point")
-                return TaylorJet(jet.base, tuple(v / x for v in c))
+                return _jet(jet.base, [v / x for v in c])
             ac, bc = (x,) + (0.0,) * jet.order, c
     if op == "add":
-        coeffs = tuple(x + y for x, y in zip(ac, bc))
+        coeffs = [x + y for x, y in zip(ac, bc)]
     elif op == "sub":
-        coeffs = tuple(x - y for x, y in zip(ac, bc))
+        coeffs = [x - y for x, y in zip(ac, bc)]
     elif op == "mul":
-        coeffs = []
-        for k in range(len(ac)):
-            acc = ac[0] * bc[k]
-            for i in range(1, k + 1):
-                acc = acc + ac[i] * bc[k - i]
-            coeffs.append(acc)
-        coeffs = tuple(coeffs)
+        coeffs = _product(ac, bc)
     elif op == "div":
-        b0 = bc[0]
-        if _any(b0 == 0.0):
+        if _any(bc[0] == 0.0):
             raise SingularPointError("division by a jet vanishing at its base point")
-        q = []
-        for k in range(len(ac)):
-            acc = ac[k]
-            for i in range(1, k + 1):
-                acc = acc - bc[i] * q[k - i]
-            q.append(acc / b0)
-        coeffs = tuple(q)
+        coeffs = _quotient(ac, bc)
     else:
         raise ValueError(f"unknown jet operation {op!r}")
-    return TaylorJet(jet.base, coeffs)
+    return _jet(jet.base, coeffs)
 
 
 def ln_jet(a: TaylorJet) -> TaylorJet:
@@ -264,11 +309,12 @@ def ln_jet(a: TaylorJet) -> TaylorJet:
     k_max = a.order
     out = [_elementwise(np.log, c[0])]
     if k_max >= 1:
-        # a'/a as a series of order k_max - 1, then term-by-term integration.
-        da = TaylorJet(a.base, tuple((i + 1) * c[i + 1] for i in range(k_max)))
-        ratio = arith(da, TaylorJet(a.base, c[:k_max]), "div")
-        out += [ratio.coefficients[k - 1] / k for k in range(1, k_max + 1)]
-    return TaylorJet(a.base, tuple(out))
+        # a'/a as a series of order k_max - 1 (a' checked: (i + 1) c_i+1 can overflow), then integrated.
+        da = [(i + 1) * c[i + 1] for i in range(k_max)]
+        _check_finite(a.base, da)
+        ratio = _quotient(da, c[:k_max])
+        out += [ratio[k - 1] / k for k in range(1, k_max + 1)]
+    return _jet(a.base, out)
 
 
 def jet_pow(a: TaylorJet, m: int) -> TaylorJet:

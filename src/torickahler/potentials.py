@@ -107,6 +107,8 @@ class RadialKahlerPotential:
 
 def _as_points(t) -> float | np.ndarray:
     """One evaluation point as a float, a batch of them as a nonempty float ndarray."""
+    if type(t) is float:
+        return t
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
         return float(t)

@@ -1,8 +1,11 @@
-"""Independent finite-difference oracles shared by the test modules.
+"""Independent oracles shared by the test modules.
 
-These deliberately know nothing about jets: they only call scalar functions,
-so agreement between a jet-derived quantity and one of these stencils is a
-genuine cross-check of two different differentiation routes.
+The finite-difference stencils deliberately know nothing about jets: they
+only call scalar functions, so agreement between a jet-derived quantity and
+one of these stencils is a genuine cross-check of two different
+differentiation routes.  The Cauchy product and long division are the plain
+loops that jet arithmetic must match bit for bit at every order, on floats
+or on arrays of them.
 """
 
 from __future__ import annotations
@@ -29,3 +32,25 @@ def central_derivative(fn, x: float, k: int, h: float, richardson: bool = True) 
     if not richardson:
         return stencil(h)
     return (4.0 * stencil(h / 2.0) - stencil(h)) / 3.0
+
+
+def cauchy_product(ac, bc) -> list:
+    """Truncated product of two coefficient sequences, each sum taken left to right in the index of ``ac``."""
+    out = []
+    for k in range(len(ac)):
+        acc = ac[0] * bc[k]
+        for i in range(1, k + 1):
+            acc = acc + ac[i] * bc[k - i]
+        out.append(acc)
+    return out
+
+
+def long_division(ac, bc) -> list:
+    """Power-series quotient ``ac / bc`` by long division; ``bc[0]`` must be nonzero."""
+    q = []
+    for k in range(len(ac)):
+        acc = ac[k]
+        for i in range(1, k + 1):
+            acc = acc - bc[i] * q[k - i]
+        q.append(acc / bc[0])
+    return q

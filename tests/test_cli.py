@@ -445,6 +445,47 @@ def test_malformed_input_exits_two(capsys, argv):
     assert dispatch(argv) == 2
 
 
+def _refusing_huge(fn, size_of):
+    """``fn``, except that a request for 1e9 or more values raises MemoryError instead of allocating."""
+
+    def wrapper(*args, **kwargs):
+        if np.prod(size_of(*args, **kwargs)) >= 1e9:
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["admissible", "--potential", "fubini_study", "--t-range", "0.1..0.9"],
+        ["verify-catalog"],
+        ["legendre"],
+        ["decay", "--dim", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_sample_count_too_large_to_allocate_exits_two(capsys, monkeypatch, argv):
+    # numpy raises MemoryError for an array it cannot allocate.  The stand-ins
+    # raise it before any such array is asked for: under memory overcommit a
+    # real allocation of 745 GiB could succeed.
+    default_rng = np.random.default_rng
+
+    class Rng:
+        def __init__(self, seed):
+            self.uniform = _refusing_huge(default_rng(seed).uniform, lambda low, high, size: size)
+
+    monkeypatch.setattr(np.random, "default_rng", Rng)
+    for name in ("linspace", "geomspace"):
+        monkeypatch.setattr(np, name, _refusing_huge(getattr(np, name), lambda start, stop, num, **_: num))
+    assert dispatch([*argv, "--samples", "100000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: Unable to allocate")
+    assert len(captured.err.splitlines()) == 1
+
+
 _NUMBERS = st.sampled_from(["0.1", "0.3", "0.99", "1.5", "2", "25", "1e6", "0", "-1", "nan", "inf", "x"])
 _POTENTIALS = st.sampled_from(["flat", "fubini_study", "fubini-study", "generalized_burns", "burns_simanca", "nope"])
 _DIMS = st.integers(-1, 12).map(str)

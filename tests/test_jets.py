@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torickahler import jets
@@ -26,7 +26,7 @@ from torickahler.potentials import (
 )
 from torickahler.scalarflat import burns_simanca_potential
 
-from helpers import central_derivative
+from helpers import cauchy_product, central_derivative, long_division
 
 
 def test_lift_constant():
@@ -73,6 +73,11 @@ def test_arith_rejects_mismatched_jets():
         arith(constant(1.0, base=0.0, order=2), constant(1.0, base=1.0, order=2), "add")
     with pytest.raises(ValueError):
         arith(constant(1.0, base=0.0, order=2), constant(1.0, base=0.0, order=3), "add")
+    # Jets sharing one base object still have their orders compared.
+    t = variable(0.5, 2)
+    for op in ("add", "sub", "mul", "div"):
+        with pytest.raises(ValueError, match="jet orders differ"):
+            arith(t, variable(t.base, 3), op)
 
 
 def test_ln_mercator_series():
@@ -340,6 +345,120 @@ def test_number_operands_keep_the_jet_checks():
         for op in (lambda: jet + bad, lambda: bad - jet, lambda: jet * bad, lambda: jet / bad):
             with pytest.raises(DomainError):
                 op()
+
+
+# ---------------------------------------------------------------------------
+# Bits against the plain loops
+# ---------------------------------------------------------------------------
+
+# Signed zeros, and magnitudes whose sums round, as well as small values.
+coefficient = st.one_of(st.sampled_from([0.0, -0.0]), small, st.floats(-1e6, 1e6))
+lead = st.one_of(st.floats(0.25, 4.0), st.floats(-4.0, -0.25))
+
+
+def _hex(c, shape) -> list[str]:
+    return [float(v).hex() for v in np.broadcast_to(c, shape).ravel()]
+
+
+def _assert_bits(jet: TaylorJet, want, shape) -> None:
+    assert len(jet.coefficients) == len(want)
+    for c_got, c_want in zip(jet.coefficients, want):
+        assert _hex(c_got, shape) == _hex(c_want, shape)
+
+
+def _pow_reference(c, m: int) -> list:
+    """jet_pow's squaring on coefficient sequences, every product the plain loop."""
+    one = [1.0] + [0.0] * (len(c) - 1)
+    if m < 0:
+        return long_division(one, _pow_reference(c, -m))
+    result, square = None, c
+    while m:
+        if m & 1:
+            result = square if result is None else cauchy_product(result, square)
+        m >>= 1
+        if m:
+            square = cauchy_product(square, square)
+    return one if result is None else result
+
+
+@st.composite
+def jet_pair_rows(draw):
+    """Two coefficient lists of one order from 0 to 6, the second a divisor, and a batch size (0: scalar)."""
+    order = draw(st.integers(0, 6))
+    size = draw(st.integers(0, 4))
+    shape = () if size == 0 else (size,)
+
+    def column(strategy):
+        if size == 0:
+            return draw(strategy)
+        return np.array(draw(st.lists(strategy, min_size=size, max_size=size)))
+
+    a = [column(coefficient) for _ in range(order + 1)]
+    b = [column(lead)] + [column(coefficient) for _ in range(order)]
+    return shape, a, b
+
+
+@given(jet_pair_rows(), st.one_of(lead, st.sampled_from([0.0, -0.0])))
+@settings(max_examples=200, deadline=None)
+# (1 + 2^-53) + 2^-53 rounds to 1 twice; 1 + (2^-53 + 2^-53) does not.
+@example(((), [1.0, 1.0, 1.0], [2.0**-53, 2.0**-53, 1.0]), 1.0)
+def test_jet_arithmetic_matches_the_plain_loops_bit_for_bit(data, x):
+    shape, ac, bc = data
+    base = 0.5 if shape == () else np.linspace(0.1, 0.9, shape[0])
+    a, b = TaylorJet(base, tuple(ac)), TaylorJet(base, tuple(bc))
+    tail = [-v for v in bc[1:]]
+    expected = {
+        "a + b": (a + b, [p + q for p, q in zip(ac, bc)]),
+        "a - b": (a - b, [p - q for p, q in zip(ac, bc)]),
+        "a * b": (a * b, cauchy_product(ac, bc)),
+        "a / b": (a / b, long_division(ac, bc)),
+        "b + x": (b + x, [bc[0] + x] + bc[1:]),
+        "x + b": (x + b, [bc[0] + x] + bc[1:]),
+        "b - x": (b - x, [bc[0] - x] + bc[1:]),
+        "x - b": (x - b, [x - bc[0]] + tail),
+        "-b": (-b, [0.0 - bc[0]] + tail),
+        "b * x": (b * x, [v * x for v in bc]),
+        "x * b": (x * b, [v * x for v in bc]),
+        "x / b": (x / b, long_division([x] + [0.0] * (len(bc) - 1), bc)),
+    }
+    if x != 0.0:
+        expected["b / x"] = (b / x, [v / x for v in bc])
+    for m in (0, 1, 2, 3, 5, -2):
+        expected[f"b ** {m}"] = (jet_pow(b, m), _pow_reference(bc, m))
+    if not np.any(bc[0] <= 0.0):
+        k_max = len(bc) - 1
+        ratio = long_division([(i + 1) * bc[i + 1] for i in range(k_max)], bc[:k_max])
+        log0 = np.log(bc[0]) if shape else float(np.log(bc[0]))
+        expected["ln b"] = (ln_jet(b), [log0] + [ratio[k - 1] / k for k in range(1, k_max + 1)])
+    for name, (got, want) in expected.items():
+        assert got.base is base, name
+        _assert_bits(got, want, shape)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["scalar", "batched"])
+def test_every_construction_path_refuses_an_overflow(batch):
+    def jet(*coefficients):
+        if batch:
+            return TaylorJet(np.array([0.5, 0.5]), tuple(np.full(2, c) for c in coefficients))
+        return TaylorJet(0.5, coefficients)
+
+    big = jet(1e200, 1.0, 1.0)
+    overflows = {
+        "product": lambda: big * big,
+        "quotient": lambda: jet(1e200) / jet(1e-200),
+        "number quotient": lambda: big / 1e-200,
+        "jet + number": lambda: jet(1.7e308, 1.0, 1.0) + 1.7e308,
+        "number - jet": lambda: -1.7e308 - jet(1.7e308, 1.0, 1.0),
+        # 3 c_3 overflows in a'; refused before the division, where it would meet inf - inf.
+        "ln_jet a'": lambda: ln_jet(jet(1.0, 1.0, 1e308, 1e308)),
+        "variable(inf)": lambda: variable(np.array([0.5, math.inf]) if batch else math.inf, 2),
+        "constant(nan)": lambda: constant(math.nan, np.array([0.5, 0.5]) if batch else 0.5, 2),
+        "jet + inf": lambda: big + math.inf,
+        "inf - jet": lambda: math.inf - big,
+    }
+    for name, fn in overflows.items():
+        with np.errstate(over="ignore", invalid="raise"), pytest.raises(DomainError):
+            fn()
 
 
 def test_each_operator_calls_arith_once(monkeypatch):

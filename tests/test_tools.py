@@ -19,7 +19,10 @@ def test_ab_cycles_runs_one_pair_of_cycles():
     lines = proc.stdout.splitlines()
     assert re.fullmatch(r"pair 1: A [\d.]+ ms, B [\d.]+ ms, A/B [\d.]+", lines[0])
     assert lines[1] == f"A: {ROOT}, 0 failed ops, unexpected: none"
-    assert re.fullmatch(r"jet_sweep: median A/B [\d.]+ over 1 pairs; B faster in [01]/1", lines[-1])
+    last = re.fullmatch(
+        r"jet_sweep: median A/B ([\d.]+) over 1 pairs; B faster in [01]/1; quartiles \[([\d.]+), ([\d.]+)\]", lines[-1]
+    )
+    assert last and last[1] == last[2] == last[3]
 
 
 def test_ab_cycles_refuses_a_root_without_the_benchmark(tmp_path):
@@ -47,7 +50,8 @@ def test_bench_summary_pairs_runs_and_keeps_the_ab_cycles_line(tmp_path):
         _run_record(tmp_path / "parent", seed, p)
         _run_record(tmp_path / "change", seed, c)
     log = tmp_path / "ab.txt"
-    log.write_text("pair 1: A 2.0 ms, B 1.0 ms, A/B 2.000\nabreu_cross: median A/B 2.000 over 1 pairs; B faster in 1/1\n")
+    last = "abreu_cross: median A/B 2.000 over 1 pairs; B faster in 1/1; quartiles [2.000, 2.000]"
+    log.write_text(f"pair 1: A 2.0 ms, B 1.0 ms, A/B 2.000\n{last}\n")
     out = tmp_path / "bench.json"
     proc = subprocess.run(
         [sys.executable, str(BENCH_SUMMARY), str(tmp_path / "parent"), str(tmp_path / "change"), str(out),
@@ -59,7 +63,7 @@ def test_bench_summary_pairs_runs_and_keeps_the_ab_cycles_line(tmp_path):
     ops = summary["workloads"]["abreu_cross"]["metrics"]["ops_per_s"]
     assert (ops["change_wins"], ops["parent_wins"]) == (2, 1)
     assert ops["parent"]["median"] == 11.0 and ops["change"]["median"] == 14.0
-    assert summary["ab_cycles"] == ["abreu_cross: median A/B 2.000 over 1 pairs; B faster in 1/1"]
+    assert summary["ab_cycles"] == [last]
 
 
 def test_every_registered_mutant_applies_once():

@@ -12,11 +12,13 @@ from pair to pair.  A cycle's time is the sum of its ops' ``run`` times, as
 outside the workload's ``KNOWN_DEFECTS`` makes the exit status 1.
 
 A pair's ratio is A's cycle time over B's, so a ratio above 1 means B was
-faster.  The last line gives the median of the ratios and in how many pairs
-B was faster.  BLAS is pinned to one thread, as in ``perfbench/run.py``.
-Two interpreters of one checkout can differ by a few percent (each runs on
-its own core and cache), so run the same root as A and B first to see how
-far from 1 a ratio must be to mean anything.
+faster.  The last line gives the median of the ratios, in how many pairs B
+was faster, and the ratios' quartiles (the exclusive method of
+:func:`statistics.quantiles`), which show their spread.  BLAS is pinned to
+one thread, as in ``perfbench/run.py``.  Two interpreters of one checkout
+can differ by a few percent (each runs on its own core and cache), so run
+the same root as A and B first to see how far from 1 a ratio must be to
+mean anything.
 """
 
 from __future__ import annotations
@@ -131,8 +133,9 @@ def main(argv: list[str] | None = None) -> int:
     for side, name in enumerate("AB"):
         print(f"{name}: {roots[side]}, {failed[side]} failed ops, unexpected: {sorted(unexpected[side]) or 'none'}")
     wins = sum(r > 1.0 for r in ratios)
+    q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     print(f"{args.workload}: median A/B {statistics.median(ratios):.3f} over {len(ratios)} pairs; "
-          f"B faster in {wins}/{len(ratios)}")
+          f"B faster in {wins}/{len(ratios)}; quartiles [{q1:.3f}, {q3:.3f}]")
     return 1 if unexpected[0] or unexpected[1] else 0
 
 

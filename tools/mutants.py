@@ -51,6 +51,7 @@ class Mutant(NamedTuple):
 CURVATURE = "src/torickahler/curvature.py"
 POTENTIALS = "src/torickahler/potentials.py"
 CLI = "src/torickahler/cli.py"
+JETS = "src/torickahler/jets.py"
 
 #: Changes no behaviour, so the suite must pass with it applied.
 EQUIVALENT = Mutant(CURVATURE, "2 * (n + 1) * t * phi1", "2 * (n+1) * t * phi1",
@@ -107,8 +108,16 @@ MUTANTS = (
            "a t + b formed unscaled, so it overflows near the float maximum"),
     Mutant(POTENTIALS, "scalar_flat_family(1, 0.0, 1.0,", "scalar_flat_family(1, 0.0, 2.0,",
            "generalized Burns with b = 2"),
-    Mutant("src/torickahler/jets.py", "    def __reduce__(self):", "    def _reduce(self):",
+    Mutant(JETS, "    def __reduce__(self):", "    def _reduce(self):",
            "copies and pickles of a jet skip its constructor"),
+    Mutant(JETS, "a0 * b2 + a1 * b1 + a2 * b0", "a0 * b2 + (a1 * b1 + a2 * b0)",
+           "the written-out order-2 product summed in another order"),
+    Mutant(JETS, "            if not math.isfinite(v):\n", "            if False:\n",
+           "one-point jets made by arithmetic keep non-finite coefficients"),
+    Mutant(JETS, "        _check_finite(base, fresh)\n", "        pass\n",
+           "batched jets made by arithmetic keep non-finite coefficients"),
+    Mutant(JETS, "if a.base is not b.base or len(ac) != len(bc):", "if a.base is not b.base:",
+           "jets sharing a base object combined without comparing orders"),
     Mutant("src/torickahler/scalarflat.py", "remainder = descending[-1] + quotient[-1]",
            "remainder = descending[-1] + quotient[-1] + 1",
            "the boundary division leaves a remainder"),
@@ -123,6 +132,8 @@ MUTANTS = (
     Mutant(CLI, "    if value < 0:\n        raise DomainError(f\"{value} is not a nonnegative seed\")",
            "    if value < -1:\n        raise DomainError(f\"{value} is not a nonnegative seed\")",
            "--seed accepts -1"),
+    Mutant(CLI, "    except MemoryError as exc:", "    except ArithmeticError as exc:",
+           "a --samples count too large to allocate ends in a traceback"),
 )
 
 
