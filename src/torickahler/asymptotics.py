@@ -48,7 +48,6 @@ class DecayReport:
     ``u`` of the fit; it tends to ``n - 1`` for the blow-up metric.
     """
 
-    n: int
     samples: tuple[tuple[float, float], ...]
     fitted: tuple[bool, ...]
     fitted_slope: float
@@ -123,7 +122,6 @@ def decay_scan(n: int, u_min: float, u_max: float, samples: int) -> DecayReport:
         )
 
     return DecayReport(
-        n=n,
         samples=scan,
         fitted=tuple(fit.tolist()),
         fitted_slope=slope,

@@ -91,12 +91,11 @@ def _in_blocks(fn: Callable, per_row: int, *rows: np.ndarray):
 class HessianEval:
     """Hessian data of a symplectic potential at one action point or a batch.
 
-    For one point ``x`` has shape (n,), ``G`` and ``G_inv`` (n, n); for a
-    batch (rows, n) every field gains a leading axis of length rows.  ``G`` is
+    For one point of shape (n,) ``G`` and ``G_inv`` have shape (n, n); for a
+    batch (rows, n) both gain a leading axis of length rows.  ``G`` is
     positive definite: a potential whose Hessian is not raises instead.
     """
 
-    x: np.ndarray
     G: np.ndarray
     G_inv: np.ndarray
 
@@ -116,11 +115,10 @@ class CurvatureReport:
 class LegendreRoundtrip:
     """Residuals of passes complex side -> action side -> back.
 
-    For one point ``a`` and ``x`` have shape (n,) and the other fields are
-    floats; for a batch of shape (..., n) they are arrays of shape (...).
+    For one point ``x`` has shape (n,) and the other fields are floats; for
+    a batch of shape (..., n) ``x`` has that shape and the others (...).
     """
 
-    a: np.ndarray
     x: np.ndarray
     s: float | np.ndarray
     t: float | np.ndarray
@@ -164,7 +162,7 @@ def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
     f2 = admissible_f2(t, f2_value(pot, t))
     G = np.full((x.size, x.size), 0.5 * f2)
     G[np.diag_indices(x.size)] += 0.5 / x
-    return HessianEval(x=x, G=G, G_inv=_t_family_inverse(x, f2))
+    return HessianEval(G=G, G_inv=_t_family_inverse(x, f2))
 
 
 #: Corner sets of the mixed second differences.  ``FOUR_CORNERS`` are
@@ -350,7 +348,7 @@ def hessian_general(
         rows,
     ).reshape(x.shape + (n,))
     _check_hessians(G)
-    return HessianEval(x=x, G=G, G_inv=np.linalg.inv(G))
+    return HessianEval(G=G, G_inv=np.linalg.inv(G))
 
 
 def scalar_curvature_reduced(pot: TPotential, n: int, t: float | np.ndarray) -> float | np.ndarray:
@@ -534,7 +532,6 @@ def legendre_roundtrip(f: RadialKahlerPotential, a: Sequence[float] | np.ndarray
             float, (s, t, gradient_residual, duality_gap, hessian_residual)
         )
     return LegendreRoundtrip(
-        a=a,
         x=x,
         s=s,
         t=t,

@@ -165,6 +165,9 @@ def fubini_study_radial() -> RadialKahlerPotential:
 class TPotential:
     """Radial part of a symplectic potential, described through jets of F''.
 
+    It is built directly (``custom_potential`` is another name for this
+    class), or by :func:`scalar_flat_family`, which works out its own domain.
+
     ``jet_fn(t, order)`` takes a float or an ndarray of t and returns the jet
     of F'' about it, batched for an array.
 
@@ -174,20 +177,18 @@ class TPotential:
     Hessians and curvature.
     """
 
-    label: str
-    domain: tuple[float, float]
     jet_fn: Callable[[float | np.ndarray, int], TaylorJet] = field(repr=False)
+    domain: tuple[float, float]
+    label: str = "custom"
     value_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+
+
+custom_potential = TPotential
 
 
 def flat_potential() -> TPotential:
     """F'' = 0 on (0, inf); the euclidean metric in action coordinates."""
-    return TPotential(
-        "flat",
-        (0.0, math.inf),
-        lambda t, order: constant(0.0, t, order),
-        value_fn=lambda t: -t,
-    )
+    return TPotential(lambda t, order: constant(0.0, t, order), (0.0, math.inf), "flat", value_fn=lambda t: -t)
 
 
 def fubini_study_potential() -> TPotential:
@@ -196,12 +197,7 @@ def fubini_study_potential() -> TPotential:
     def jfn(t: float, order: int) -> TaylorJet:
         return 1.0 / (1.0 - variable(t, order))
 
-    return TPotential(
-        "fubini_study",
-        (0.0, 1.0),
-        jfn,
-        value_fn=lambda t: (1.0 - t) * np.log1p(-t),
-    )
+    return TPotential(jfn, (0.0, 1.0), "fubini_study", value_fn=lambda t: (1.0 - t) * np.log1p(-t))
 
 
 def generalized_burns_potential() -> TPotential:
@@ -210,7 +206,7 @@ def generalized_burns_potential() -> TPotential:
     This is the restriction of the ambient product metric to the blow-up; F has a closed form.
     """
     return replace(
-        scalar_flat_family(1, 0.0, 1.0, label="generalized_burns", domain=(1.0, math.inf)),
+        scalar_flat_family(1, 0.0, 1.0, label="generalized_burns"),
         value_fn=lambda t: (t - 1.0) * np.log(t - 1.0) - t * np.log(t) - t + 1.0,
     )
 
@@ -240,7 +236,12 @@ def _poly_eval(form: tuple[tuple[int, ...], int], t: float | Fraction) -> Fracti
 def _family_domain_start(n: int, a: float, b: float) -> float:
     """Largest nonnegative real root of gap(t) = t^n - a t - b, or 0.0; the family lives to its right.
 
-    For n >= 2, gap'' = n (n-1) t^(n-2) > 0 on t > 0, so gap falls until
+    The result is the largest float at or below the root.  For n = 1 the
+    root b / (1 - a) is rounded once, to at most the float maximum, and
+    stepped one ulp toward 0 if above.
+    For n >= 2 with a + b = 1 (t - 1 divides the gap) and a <= n it is 1.0:
+    gap(1) = 0, gap'(1) = n - a >= 0 and gap' rises on t > 0.  Otherwise
+    gap'' = n (n-1) t^(n-2) > 0 on t > 0, so gap falls until
     t* = (a/n)^(1/(n-1)) (until 0 if a <= 0) and rises after it.  A root on
     t > 0 exists unless a <= 0 <= -b, or gap(t*) = -a t* (n-1)/n - b > 0, that
     is a^n (n-1)^(n-1) < n^n (-b)^(n-1); both are decided exactly.  Past the
@@ -248,17 +249,20 @@ def _family_domain_start(n: int, a: float, b: float) -> float:
     finds where that starts.  Each sign is read off the float value where
     its rounding error, under 4 n eps times the size of its terms, cannot
     flip it, and from :func:`_poly_eval` otherwise, so a double root (a
-    tangent gap) is found like a simple one.  The result is the largest float
-    at or below the root.
+    tangent gap) is found like a simple one.
     """
     if n == 1:
         # gap = (1 - a) t - b rises through its root for a < 1, is -b for a = 1, and falls for a > 1.
         if a < 1.0:
-            return max(0.0, b / (1.0 - a))
+            root = max(Fraction(0), Fraction(b) / (1 - Fraction(a)))
+            start = float(min(root, Fraction(np.finfo(float).max)))
+            return math.nextafter(start, 0.0) if start > root else start
         if a == 1.0 and b < 0.0:
             return 0.0
         raise DomainError(f"t - ({a} t + {b}) is positive on no interval (t0, inf)")
     A, B = Fraction(a), Fraction(b)
+    if A + B == 1 and A <= n:
+        return 1.0
     if (A <= 0 and B <= 0) or (A > 0 and B < 0 and A**n * (n - 1) ** (n - 1) < n**n * (-B) ** (n - 1)):
         return 0.0
     zeros = [Fraction(0)] * (n - 2)
@@ -331,19 +335,13 @@ def _scaled_pow(tj: TaylorJet, n: int) -> tuple[TaylorJet, int | np.ndarray]:
         square, e_square = rescale(square * square, 2 * e_square)
 
 
-def scalar_flat_family(
-    n: int,
-    a: float,
-    b: float,
-    label: str = "scalar_flat_family",
-    domain: tuple[float, float] | None = None,
-) -> TPotential:
+def scalar_flat_family(n: int, a: float, b: float, label: str = "scalar_flat_family") -> TPotential:
     """The two-parameter family F''(t) = (a t + b) / (t (t^n - a t - b)).
 
     Every member is scalar-flat in dimension ``n`` wherever it is admissible,
-    i.e. wherever ``t^n - a t - b > 0``.  Without ``domain`` the domain is
-    the interval right of the gap's largest root; a member with none (n = 1
-    with a > 1, or a = 1 and b >= 0) raises :class:`DomainError`.
+    i.e. wherever ``t^n - a t - b > 0``.  The domain is always the interval
+    right of the gap's largest root, worked out by :func:`_family_domain_start`;
+    a member with none (n = 1 with a > 1, or a = 1 and b >= 0) raises :class:`DomainError`.
 
     The jet is ``numer / (t (t^n - numer))``, ``numer = a t + b`` or the number
     b where a = 0, at every t.  Where t^n passes 2^400, ``t^n`` and ``numer``
@@ -357,8 +355,7 @@ def scalar_flat_family(
         raise DimensionError("the family needs dimension n >= 1")
     a = float(a)
     b = float(b)
-    if domain is None:
-        domain = (_family_domain_start(n, a, b), math.inf)
+    domain = (_family_domain_start(n, a, b), math.inf)
 
     def jfn(t: float | np.ndarray, order: int) -> TaylorJet:
         tj = variable(t, order)
@@ -381,16 +378,7 @@ def scalar_flat_family(
                 raise DomainError(f"F'' underflows at t={bad}; its derivatives are not representable")
         return f2
 
-    return TPotential(label, domain, jfn)
-
-
-def custom_potential(
-    jet_fn: Callable[[float | np.ndarray, int], TaylorJet],
-    domain: tuple[float, float],
-    label: str = "custom",
-    value_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> TPotential:
-    return TPotential(label, domain, jet_fn, value_fn=value_fn)
+    return TPotential(jfn, domain, label)
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,8 @@ def solve_boundary_coefficients(n: int) -> BoundaryMatch:
     The system is triangular: A = n - 1 from the residue, then B = 1 - A.
     The match keeps whatever remainder the division leaves: ``derive``
     checks it, and :func:`burns_simanca_potential` refuses a nonzero one.
+    Below n = 2, :func:`boundary_match` raises :class:`DimensionError`.
     """
-    if n < 2:
-        raise DimensionError("boundary matching needs dimension n >= 2")
     a = Fraction(n - 1)
     return boundary_match(n, a, 1 - a)
 
@@ -163,7 +162,8 @@ def burns_simanca_potential(n: int) -> TPotential:
     Nonsingularity on t > 1 holds because Q(1) = 1 and Q has nonnegative
     derivative coefficients, so Q(t) >= 1 for t >= 1; both are verified here,
     with the exact division by t - 1.  A match that fails one of the three
-    raises :class:`NonAdmissibleError`.
+    raises :class:`NonAdmissibleError`.  A + B = 1 and A <= n give the
+    domain (1, inf), which :func:`scalar_flat_family` finds without bisecting.
     """
     match = solve_boundary_coefficients(n)
     if match.remainder != 0:
@@ -172,9 +172,7 @@ def burns_simanca_potential(n: int) -> TPotential:
         raise NonAdmissibleError("quotient normalization Q(1) = 1 failed")
     if any(c < 0 for c in match.quotient[1:]):
         raise NonAdmissibleError("quotient has a negative non-constant coefficient")
-    return scalar_flat_family(
-        n, float(match.A), float(match.B), label="burns_simanca", domain=(1.0, math.inf)
-    )
+    return scalar_flat_family(n, float(match.A), float(match.B), label="burns_simanca")
 
 
 class DeltaCheckReport(NamedTuple):
@@ -206,10 +204,7 @@ def delta_check(match: BoundaryMatch, t_samples: Sequence[float], *, seed: int =
         if not math.isfinite(value) or value <= 0.0:
             return DeltaCheckReport(False, math.inf, t)
 
-    # Every sample reaching the Hessian has t > 1 and delta(t) > 0, hence
-    # t^n - A t - B > 0; so the domain is the checked interval [1, inf), not the
-    # largest root of t^n - A t - B, whose exact bisection costs about 11 ms at n = 200.
-    pot = scalar_flat_family(match.n, float(match.A), float(match.B), domain=(1.0, math.inf))
+    pot = scalar_flat_family(match.n, float(match.A), float(match.B))
     sampled = [t for t in ts if t >= 1.0 + 1e-6]
     row_t = np.repeat(sampled, 2)
     weights = np.random.default_rng(seed).uniform(0.2, 1.0, (row_t.size, match.n))

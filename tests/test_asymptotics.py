@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torickahler import potentials
-from torickahler.asymptotics import chart_deviation, decay_scan
+from torickahler.asymptotics import DecayReport, chart_deviation, decay_scan
 from torickahler.curvature import hessian_t_family
 from torickahler.errors import DecayFitError, DomainError, NonAdmissibleError
 from torickahler.jets import constant, variable
@@ -131,6 +131,8 @@ def test_decay_input_validation():
         decay_scan(2, 10.0, 1e4, 4)
     with pytest.raises(ValueError):
         decay_scan(2, 100.0, 10.0, 16)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DecayReport(((2.0, 1.0), (1.0, 1.0)), (True, True), -1.0, -1.0, 1.0)
 
 
 def _dense_chart_deviation(pot, x, y):

@@ -439,6 +439,10 @@ def test_unwritable_destination(capsys):
         ["verify-catalog", "--dims", "2..2", "--seed", "-1"],
         ["derive", "--dim", "3", "--seed", "-1"],
         ["legendre", "--seed", "-3"],
+        ["verify-catalog", "--dims", "x"],
+        ["verify-catalog", "--dims", "0..2"],
+        ["legendre", "--potential", "burns_simanca"],
+        ["curvature", "--potential", "flat", "--dim", "2", "--point", "inf,1"],
     ],
 )
 def test_malformed_input_exits_two(capsys, argv):

@@ -84,6 +84,9 @@ def test_vanishing_normalization_is_non_admissible():
 def test_hessian_requires_interior_point():
     with pytest.raises(DomainError):
         hessian_t_family(flat_potential(), [1.0, -0.5])
+    for x in ([], [[1.0, 1.0]]):
+        with pytest.raises(DomainError, match="x must be a nonempty vector"):
+            hessian_t_family(flat_potential(), x)
 
 
 def test_hessian_inverse_is_inverse():
@@ -754,7 +757,6 @@ _ROUNDTRIP_FIELDS = ("x", "s", "t", "gradient_residual", "duality_gap", "hessian
 def test_batched_legendre_roundtrip_matches_row_by_row(profile, n):
     a = np.random.default_rng(14).uniform(-0.8, 0.8, (3, 4, n))
     batch = legendre_roundtrip(profile, a)
-    assert np.array_equal(batch.a, a)
     assert batch.x.shape == (3, 4, n) and batch.duality_gap.shape == (3, 4)
     for index in np.ndindex(3, 4):
         one = legendre_roundtrip(profile, a[index])

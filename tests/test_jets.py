@@ -193,6 +193,14 @@ def test_misuse_raises_domain_error():
         arith(constant(1.0, base=0.0, order=2), constant(1.0, base=1.0, order=2), "add")
     with pytest.raises(DomainError):
         arith(constant(1.0, base=0.0, order=2), constant(1.0, base=0.0, order=3), "add")
+    with pytest.raises(DomainError, match=r"a constant of shape \(2, 2\) does not fit a batch of shape \(2,\)"):
+        constant(np.ones((2, 1)), base=np.zeros(2), order=1)
+
+
+def test_arith_rejects_an_unknown_operation():
+    t = variable(0.5, 2)
+    with pytest.raises(ValueError, match="unknown jet operation 'pow'"):
+        arith(t, t, "pow")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from torickahler.errors import DimensionError, DomainError, NearBoundaryError
 from torickahler.polytope import (
     AffineFunctional,
+    DelzantPolytope,
     build_standard,
     canonical_potential,
     row_sum,
@@ -34,6 +35,8 @@ def test_simplex_facets():
 def test_invalid_dimension():
     with pytest.raises(DimensionError):
         build_standard("orthant", 0)
+    with pytest.raises(DimensionError, match="facet normal length does not match polytope dimension"):
+        DelzantPolytope(2, (AffineFunctional((1,), 0.0),))
 
 
 def test_unknown_kind():

@@ -1,18 +1,22 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from torickahler import potentials
 from torickahler.errors import (
     AccuracyError,
     BracketRangeError,
+    DimensionError,
     DomainError,
     NearBoundaryError,
     NonAdmissibleError,
 )
-from torickahler.jets import jet_pow, ln_jet, variable
+from torickahler.jets import constant, jet_pow, ln_jet, variable
 from torickahler.potentials import (
     RadialKahlerPotential,
     admissibility,
@@ -282,6 +286,16 @@ def test_kahler_to_t_rejects_decreasing_profile():
     falling = RadialKahlerPotential("minus_s", lambda s, order: -1.0 * variable(s, order))
     with pytest.raises(NonAdmissibleError):
         kahler_to_t_potential(falling, 2.0)
+    for t in (0.0, -1.0):
+        with pytest.raises(DomainError, match="t must be positive"):
+            kahler_to_t_potential(fubini_study_radial(), t)
+
+
+def test_kahler_to_t_refuses_a_slope_falling_on_the_way_to_the_bracket():
+    # gamma(0.25) < 0.25 with gamma' > 0 there, so s doubles; at s = 0.5,
+    # inside the dip and with gamma(0.5) still below 0.25, gamma' < 0.
+    with pytest.raises(NonAdmissibleError, match=r"^gamma is not increasing at s = 0\.5$"):
+        kahler_to_t_potential(_dipping_radial(), 0.25)
 
 
 def test_kahler_to_t_reproduces_fubini_study_closed_form():
@@ -605,6 +619,24 @@ def test_scalar_flat_family_domain_guard():
     pot = scalar_flat_family(3, 1.96, -1.02)
     with pytest.raises(DomainError):
         f2_jet(pot, pot.domain[0] - 0.2, 2)
+    # With the domain widened past its start, the family's own gap check refuses t.
+    widened = dataclasses.replace(pot, domain=(0.0, math.inf))
+    for t in (pot.domain[0] - 0.2, np.array([2.0, pot.domain[0] - 0.2])):
+        with pytest.raises(DomainError, match=r"t\^3 - \(1.96 t \+ -1.02\) must be positive"):
+            f2_jet(widened, t, 2)
+    with pytest.raises(DimensionError):
+        scalar_flat_family(0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "jet_fn",
+    [lambda t, order: constant(0.0, t, order + 1), lambda t, order: constant(0.0, 1.5, order)],
+    ids=["order", "base"],
+)
+def test_f2_jet_refuses_a_malformed_jet(jet_fn):
+    pot = custom_potential(jet_fn, (0.0, math.inf), "malformed")
+    with pytest.raises(DomainError, match="returned a malformed jet"):
+        f2_jet(pot, 2.0, 2)
 
 
 FAMILY_MEMBERS = [lambda n: (n - 1.0, 2.0 - n), lambda n: (1.5, -0.7)]
@@ -620,7 +652,7 @@ def test_family_jet_is_the_unscaled_formula_bit_for_bit(n):
     ts = np.geomspace(math.exp(250.0 / n), math.exp(705.0 / (n + 1)), 48)
     for member in FAMILY_MEMBERS:
         a, b = member(n)
-        pot = scalar_flat_family(n, a, b, domain=(1.0, math.inf))
+        pot = scalar_flat_family(n, a, b)
         past_switch = 0
         for order in range(7):
             batched = f2_jet(pot, ts, order).coefficients
@@ -769,6 +801,26 @@ def test_first_order_family_without_a_right_half_line_is_refused(a, b):
     # when a = 1: no interval (t0, inf) has a positive gap.
     with pytest.raises(DomainError, match="positive on no interval"):
         scalar_flat_family(1, a, b)
+
+
+@given(a=st.floats(-3.0, 0.99, exclude_max=True), b=st.floats(0.01, 5.0, exclude_max=True))
+@example(a=1.0 - 2.0**-53, b=1e300)  # the root passes the float maximum
+def test_first_order_family_starts_at_the_largest_float_at_or_below_its_root(a, b):
+    start = scalar_flat_family(1, a, b).domain[0]
+    root = Fraction(b) / (1 - Fraction(a))
+    assert start <= root < math.nextafter(start, math.inf)
+
+
+@pytest.mark.parametrize(
+    "n, a, b",
+    [
+        (2, 3.0, -2.0),  # (t - 1)(t - 2): t - 1 divides the gap, but a > n puts the largest root at 2
+        (1100, 2.0, 0.0),  # t (t^1099 - 2): t^1099 overflows a float on the way to the root
+    ],
+)
+def test_family_domain_starts_at_the_largest_root(n, a, b):
+    start = scalar_flat_family(n, a, b).domain[0]
+    assert _exact_gap(n, a, b, start) <= 0 < _exact_gap(n, a, b, math.nextafter(start, math.inf))
 
 
 @pytest.mark.parametrize("a, b, start", [(0.5, 0.25, 0.5), (-1.0, -2.0, 0.0), (1.0, -0.5, 0.0), (0.0, 3.0, 3.0)])

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from torickahler.curvature import hessian_t_family, scalar_curvature_reduced
-from torickahler.errors import AccuracyError, DimensionError, DomainError
+from torickahler.errors import AccuracyError, DimensionError, DomainError, NonAdmissibleError
 from torickahler.jets import constant
 from torickahler.potentials import (
     custom_potential,
     f2_value,
     generalized_burns_potential,
 )
-from torickahler import curvature, scalarflat
+from torickahler import cli, curvature, potentials, scalarflat
 from torickahler.scalarflat import (
     boundary_match,
     burns_simanca_potential,
@@ -57,8 +57,40 @@ def test_solve_n2():
 
 
 def test_solve_n1_rejected():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="boundary matching needs dimension n >= 2"):
         solve_boundary_coefficients(1)
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [((1, 0), r"Q\(1\) = 1 failed"), ((2, -2), "negative non-constant coefficient")],
+    ids=["Q(1)", "sign"],
+)
+def test_burns_simanca_refuses_a_wrong_quotient(monkeypatch, shift, message):
+    # At n = 3 the quotient is -1 + t + t^2; adding (1, 0) to its first two
+    # coefficients makes Q(1) = 2, and (2, -2) keeps Q(1) = 1 with a -t.
+    divide = scalarflat._divide_by_t_minus_1
+
+    def altered(coeffs):
+        quotient, remainder = divide(coeffs)
+        return (quotient[0] + shift[0], quotient[1] + shift[1], *quotient[2:]), remainder
+
+    monkeypatch.setattr(scalarflat, "_divide_by_t_minus_1", altered)
+    with pytest.raises(NonAdmissibleError, match=message):
+        burns_simanca_potential(3)
+
+
+def test_the_matched_family_never_bisects(monkeypatch, capsys):
+    # t - 1 divides the matched gap and A = n - 1 <= n, so the domain starts
+    # at 1 exactly; a bisection there would read the gap exactly next to its root.
+    def refuse(*args):
+        raise AssertionError("the family's domain start bisected")
+
+    monkeypatch.setattr(potentials, "_poly_eval", refuse)
+    for n in (3, 200, 1000):
+        assert burns_simanca_potential(n).domain == (1.0, math.inf)
+    assert delta_check(solve_boundary_coefficients(200), [1.0, 1.5, 2.0, 5.0, 25.0]).passed
+    assert cli.dispatch(["derive", "--dim", "1000"]) == 0
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -217,7 +249,7 @@ def test_delta_check_builds_only_the_inverse_hessian(monkeypatch, n):
     # and hessian_t_family, which builds G, must not run.
     match = solve_boundary_coefficients(n)
     ts, seed = [1.0, 1.5, 2.0, 5.0, 25.0], 3
-    pot = scalarflat.scalar_flat_family(n, float(match.A), float(match.B), domain=(1.0, math.inf))
+    pot = scalarflat.scalar_flat_family(n, float(match.A), float(match.B))
     rng = np.random.default_rng(seed)
     expected = []
     for t in ts[1:]:

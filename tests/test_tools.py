@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 AB_CYCLES = ROOT / "tools" / "ab_cycles.py"
 BENCH_SUMMARY = ROOT / "tools" / "bench_summary.py"
+SAME_OUTPUTS = ROOT / "tools" / "same_outputs.py"
 
 
 def test_ab_cycles_runs_one_pair_of_cycles():
@@ -64,6 +66,47 @@ def test_bench_summary_pairs_runs_and_keeps_the_ab_cycles_line(tmp_path):
     assert (ops["change_wins"], ops["parent_wins"]) == (2, 1)
     assert ops["parent"]["median"] == 11.0 and ops["change"]["median"] == 14.0
     assert summary["ab_cycles"] == [last]
+
+
+def _copy_checkout(destination: Path) -> Path:
+    """The parts of this checkout that tools/same_outputs.py runs, copied to ``destination``."""
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", ".bench_out")
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, destination / name, ignore=ignore)
+    return destination
+
+
+def test_same_outputs_passes_two_copies_and_flags_a_changed_tolerance(tmp_path):
+    parent, change = _copy_checkout(tmp_path / "parent"), _copy_checkout(tmp_path / "change")
+
+    def compare():
+        return subprocess.run(
+            [sys.executable, str(SAME_OUTPUTS), str(parent), str(change)], capture_output=True, text=True, timeout=600
+        )
+
+    same = compare()
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert re.fullmatch(r"\d+ outputs compared, 0 differ\n", same.stdout)
+
+    cli = change / "src" / "torickahler" / "cli.py"
+    old = "1e-9 * (1.0 + abs(expected)))"
+    assert cli.read_text().count(old) == 1
+    cli.write_text(cli.read_text().replace(old, "2e-9 * (1.0 + abs(expected)))"))
+    changed = compare()
+    assert changed.returncode == 1, changed.stderr
+    *flagged, last = changed.stdout.splitlines()
+    assert re.fullmatch(r"\d+ outputs compared, \d+ differ", last)
+    # Only the reports of curvature --t carry that tolerance.
+    assert flagged and all(re.match(r"(cli_session .*)?curvature .*--t", line) for line in flagged)
+    assert 'curvature --potential flat --t 2.0 --dim 2 --format json: line 20: parent .stdout:       "tolerance": ' \
+        '1e-09 | change .stdout:       "tolerance": 2e-09' in flagged
+
+
+def test_same_outputs_refuses_a_root_without_the_library(tmp_path):
+    for argv in ([str(ROOT), str(tmp_path)], [str(ROOT)]):
+        proc = subprocess.run([sys.executable, str(SAME_OUTPUTS), *argv], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
 
 def test_every_registered_mutant_applies_once():

@@ -108,6 +108,12 @@ MUTANTS = (
            "a t + b formed unscaled, so it overflows near the float maximum"),
     Mutant(POTENTIALS, "scalar_flat_family(1, 0.0, 1.0,", "scalar_flat_family(1, 0.0, 2.0,",
            "generalized Burns with b = 2"),
+    Mutant(POTENTIALS, "if A + B == 1 and A <= n:", "if A + B == 1:",
+           "the family's divisibility branch without a <= n, so (t - 1)(t - 2) starts at 1"),
+    Mutant(POTENTIALS, "    if jet.order != order or not _same_base(jet.base, t):\n", "    if False:\n",
+           "f2_jet's malformed-jet check skipped"),
+    Mutant(POTENTIALS, "        if clearly_negative(slope, scale):\n", "        if False:\n",
+           "the bracket search's falling-gamma check skipped"),
     Mutant(JETS, "    def __reduce__(self):", "    def _reduce(self):",
            "copies and pickles of a jet skip its constructor"),
     Mutant(JETS, "a0 * b2 + a1 * b1 + a2 * b0", "a0 * b2 + (a1 * b1 + a2 * b0)",
@@ -121,6 +127,8 @@ MUTANTS = (
     Mutant("src/torickahler/scalarflat.py", "remainder = descending[-1] + quotient[-1]",
            "remainder = descending[-1] + quotient[-1] + 1",
            "the boundary division leaves a remainder"),
+    Mutant(CLI, "    if not all(map(math.isfinite, values)):\n", "    if False:\n",
+           "_parse_floats accepts a non-finite coordinate"),
     Mutant(CLI, "if not 0 <= value < math.inf:", "if value < 0:",
            "NaN and infinite tolerances accepted"),
     Mutant(CLI, "ok=potentials.admissibility(pot, entry.t_range, 64).passed",
