@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import DegeneratePotentialError, DomainError, NonAdmissibleError
 from .potentials import (
+    _FLOAT_MAX,
     _TINY,
     RadialKahlerPotential,
     TPotential,
@@ -62,8 +63,9 @@ __all__ = [
 #: memory of one batch (Abreu at n = 8 needs 257 x 145 = 37,265 points: 145
 #: for each inner Hessian at each of 257 outer points).  Batched
 #: :func:`legendre_roundtrip` evaluates its rows in blocks under the same
-#: bound (see :func:`_in_blocks`); a point whose stencil alone is larger is
-#: a block of its own.
+#: bound (see :func:`_in_blocks`), and ``scalarflat.delta_check`` factors at
+#: most ``STENCIL_BLOCK // n^2`` of its n x n G^{-1} at a time; a row whose
+#: cost alone is larger is a block of its own.
 STENCIL_BLOCK = 8192
 
 
@@ -127,16 +129,18 @@ class LegendreRoundtrip:
     hessian_residual: float | np.ndarray
 
 
-def _t_family_inverse(x: np.ndarray, f2: float | np.ndarray) -> np.ndarray:
+def _t_family_inverse(x: np.ndarray, f2: float | np.ndarray, out=None) -> np.ndarray:
     """Closed form for G^{-1} of the radial family, shape (..., n, n).
 
-    ``x`` has shape (..., n) and ``f2`` the batch shape (...).
+    ``x`` has shape (..., n) and ``f2`` the batch shape (...).  The result is
+    written to ``out`` if it is given, so that one buffer can serve a run of
+    blocks, as in :func:`_stencil_points`.
     """
     t = x.sum(axis=-1)
     f2_m = np.asarray(f2)[..., None, None]
     # Built in place on a diagonal view: at n = 200 each fresh n x n temporary
     # costs more than the arithmetic.
-    G_inv = x[..., :, None] * x[..., None, :]
+    G_inv = np.multiply(x[..., :, None], x[..., None, :], out=out)
     G_inv *= -f2_m
     np.einsum("...ii->...i", G_inv)[...] += x * np.asarray(1.0 + f2 * t)[..., None]
     G_inv *= np.asarray(2.0 / (1.0 + t * f2))[..., None, None]
@@ -151,18 +155,25 @@ def hessian_t_family(pot: TPotential, x: Sequence[float]) -> HessianEval:
     -2 F'' x_i x_j / (1 + t F'').  G is positive definite whenever it is
     returned: with x > 0, G is a positive diagonal matrix plus a rank-one term,
     so it has at most one nonpositive eigenvalue, and by the matrix determinant
-    lemma det G = (1 + t F'') / prod(2 x_i) > 0 rules that one out.
+    lemma det G = (1 + t F'') / prod(2 x_i) > 0 rules that one out.  An x whose
+    t overflows, or at which an entry of G or G^{-1} (or a product x_i x_j
+    that G^{-1} is built from) does, raises :class:`DomainError`.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise DomainError("x must be a nonempty vector")
     if np.any(x <= 0.0):
         raise DomainError("x must lie strictly inside the positive orthant")
-    t = float(x.sum())
+    with np.errstate(over="ignore"):
+        t = float(x.sum())
     f2 = admissible_f2(t, f2_value(pot, t))
-    G = np.full((x.size, x.size), 0.5 * f2)
-    G[np.diag_indices(x.size)] += 0.5 / x
-    return HessianEval(G=G, G_inv=_t_family_inverse(x, f2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.full((x.size, x.size), 0.5 * f2)
+        G[np.diag_indices(x.size)] += 0.5 / x
+        G_inv = _t_family_inverse(x, f2)
+    if not (np.isfinite(G).all() and np.isfinite(G_inv).all()):
+        raise DomainError(f"G or G^-1 overflows at x (x_i from {x.min():g} to {x.max():g})")
+    return HessianEval(G=G, G_inv=G_inv)
 
 
 #: Corner sets of the mixed second differences.  ``FOUR_CORNERS`` are
@@ -544,8 +555,17 @@ def legendre_roundtrip(f: RadialKahlerPotential, a: Sequence[float] | np.ndarray
 def _roundtrip_rows(f: RadialKahlerPotential, a: np.ndarray) -> tuple[np.ndarray, ...]:
     """:func:`legendre_roundtrip` on the rows of ``a`` (shape (rows, n)): x, s, t and the residuals."""
     n = a.shape[-1]
-    e2a = np.exp(2.0 * a)
-    s = e2a.sum(axis=-1)
+    with np.errstate(over="ignore"):
+        e2a = np.exp(2.0 * a)
+        s = e2a.sum(axis=-1)
+    # 2 e^(2 a_i) and the stencil's s, at most 1.2 s, stay finite below a quarter of the float maximum.
+    resolved = (e2a >= _TINY).all(axis=-1) & (s <= 0.25 * _FLOAT_MAX)
+    if not resolved.all():
+        bad = a[int(np.argmin(resolved))]
+        raise DomainError(
+            f"a = {bad.tolist()} is out of range: each e^(2 a_i) must be a normal float, "
+            "and their sum below a quarter of the float maximum"
+        )
 
     f0, f1, f2 = radial_derivatives(f, s)
     admissible = (f1 > 0.0) & (f1 + s * f2 > 0.0)

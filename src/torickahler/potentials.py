@@ -87,6 +87,9 @@ _INVERSION_CAP = 400
 #: The smallest normal float; below it a value has lost bits to underflow.
 _TINY = float(np.finfo(float).tiny)
 
+#: The largest float, where the family's search for its domain start stops.
+_FLOAT_MAX = float(np.finfo(float).max)
+
 #: Past 2^_POW_CAP, _scaled_pow rescales a power of t; two such factors times a
 #: binomial of up to 2^120 (order <= 6, n < 2^20) stay below the float maximum.
 _POW_CAP = 400
@@ -246,16 +249,18 @@ def _family_domain_start(n: int, a: float, b: float) -> float:
     t > 0 exists unless a <= 0 <= -b, or gap(t*) = -a t* (n-1)/n - b > 0, that
     is a^n (n-1)^(n-1) < n^n (-b)^(n-1); both are decided exactly.  Past the
     largest root, and only there, gap > 0 and gap' > 0; bisection on floats
-    finds where that starts.  Each sign is read off the float value where
-    its rounding error, under 4 n eps times the size of its terms, cannot
-    flip it, and from :func:`_poly_eval` otherwise, so a double root (a
-    tangent gap) is found like a simple one.
+    finds where that starts, in a bracket doubled from [0, 1] up to at most
+    the float maximum (a root above it raises :class:`DomainError`).  Each
+    sign is read off the float value where its rounding error, under
+    4 n eps times the size of its terms, cannot flip it, and from
+    :func:`_poly_eval` otherwise, so a double root (a tangent gap) is found
+    like a simple one.
     """
     if n == 1:
         # gap = (1 - a) t - b rises through its root for a < 1, is -b for a = 1, and falls for a > 1.
         if a < 1.0:
             root = max(Fraction(0), Fraction(b) / (1 - Fraction(a)))
-            start = float(min(root, Fraction(np.finfo(float).max)))
+            start = float(min(root, Fraction(_FLOAT_MAX)))
             return math.nextafter(start, 0.0) if start > root else start
         if a == 1.0 and b < 0.0:
             return 0.0
@@ -284,9 +289,13 @@ def _family_domain_start(n: int, a: float, b: float) -> float:
 
     lo, hi = 0.0, 1.0
     while not past_root(hi):
-        lo, hi = hi, 2.0 * hi
+        if hi == _FLOAT_MAX:
+            raise DomainError(f"the largest root of t^{n} - ({a} t + {b}) lies above the largest float")
+        lo, hi = hi, min(2.0 * hi, _FLOAT_MAX)
     while True:
         mid = 0.5 * (lo + hi)
+        if mid == math.inf:  # lo + hi overflowed; hi - lo is exact, as lo >= hi / 2
+            mid = lo + 0.5 * (hi - lo)
         if mid in (lo, hi):
             return lo
         if past_root(mid):
@@ -341,7 +350,8 @@ def scalar_flat_family(n: int, a: float, b: float, label: str = "scalar_flat_fam
     Every member is scalar-flat in dimension ``n`` wherever it is admissible,
     i.e. wherever ``t^n - a t - b > 0``.  The domain is always the interval
     right of the gap's largest root, worked out by :func:`_family_domain_start`;
-    a member with none (n = 1 with a > 1, or a = 1 and b >= 0) raises :class:`DomainError`.
+    a member with none (n = 1 with a > 1, or a = 1 and b >= 0), a root above
+    the float maximum, or a non-finite a or b raises :class:`DomainError`.
 
     The jet is ``numer / (t (t^n - numer))``, ``numer = a t + b`` or the number
     b where a = 0, at every t.  Where t^n passes 2^400, ``t^n`` and ``numer``
@@ -355,6 +365,9 @@ def scalar_flat_family(n: int, a: float, b: float, label: str = "scalar_flat_fam
         raise DimensionError("the family needs dimension n >= 1")
     a = float(a)
     b = float(b)
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise DomainError(f"the family's {name}={value} must be finite")
     domain = (_family_domain_start(n, a, b), math.inf)
 
     def jfn(t: float | np.ndarray, order: int) -> TaylorJet:
@@ -503,9 +516,11 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float) -> TDual:
     :func:`_legendre_relations` turns it into F and F''.  The bracket grows from
     s = t toward the root, since gamma increases: s doubles while
     gamma(s) < t, or halves while gamma(s) > t, and a 201st step raises
-    :class:`BracketRangeError`.  Before the search, gamma' is
-    checked at nine evenly spaced probes of the bracket, one batched radial
-    jet; the first clearly negative slope raises :class:`NonAdmissibleError`.
+    :class:`BracketRangeError`; a t that is not positive and finite, or a
+    gamma or gamma' that is not finite at an end of the bracket (as where
+    2 s f'(s) overflows), raises :class:`DomainError`.  Before the search,
+    gamma' is checked at nine evenly spaced probes of the bracket, one batched
+    radial jet; the first clearly negative slope raises :class:`NonAdmissibleError`.
 
     A bracket endpoint where gamma equals t is returned as it is.  Otherwise
     each iterate s gives a Newton step from its own second-order jet.  The
@@ -518,8 +533,8 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float) -> TDual:
     gamma then never meets t closely enough, as where it jumps over t.
     """
     t = float(t)
-    if t <= 0.0:
-        raise DomainError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError("t must be positive and finite")
 
     def clearly_negative(slope, scale):
         return slope < -1e-8 * scale
@@ -529,7 +544,7 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float) -> TDual:
         raise NonAdmissibleError("gamma(s) = 2 s f'(s) is not increasing at s = t")
 
     up = gamma0 < t
-    s, gamma, doublings = t, gamma0, 0
+    s, gamma, scale, doublings = t, gamma0, scale0, 0
     while (gamma < t) if up else (gamma > t):
         s = 2.0 * s if up else 0.5 * s
         gamma, slope, scale = _gamma_and_slope(f, s)
@@ -540,6 +555,9 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float) -> TDual:
             side = ">=" if up else "<="
             raise BracketRangeError(f"no s with gamma(s) {side} {t}; t outside the potential's range")
     lo, hi = (t, s) if up else (s, t)
+    # An overflow at either end (NaN and inf end the search) would recur, with warnings, in the probes.
+    if not all(map(math.isfinite, (gamma0, scale0, gamma, scale))):
+        raise DomainError(f"gamma(s) = 2 s f'(s) or its slope is not finite on [{lo}, {hi}]; t={t} is out of reach")
 
     probes = np.linspace(lo, hi, 9)
     _, slopes, scales = _gamma_and_slope(f, probes)

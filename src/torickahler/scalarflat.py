@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .curvature import _t_family_inverse
+from .curvature import _block_rows, _in_blocks, _t_family_inverse
 from .errors import AccuracyError, DimensionError, DomainError, NonAdmissibleError
 from .potentials import (
     TPotential,
@@ -81,6 +81,14 @@ def _exact(t: float) -> Fraction:
     if not math.isfinite(t):
         raise DomainError(f"t={t} must be finite")
     return Fraction(t)
+
+
+def _coefficient(name: str, value) -> Fraction:
+    """A coefficient as an exact rational; NaN and infinities raise :class:`DomainError` naming it."""
+    try:
+        return Fraction(value)
+    except (ValueError, OverflowError):
+        raise DomainError(f"{name}={value} must be finite") from None
 
 
 def _rounded(value: Fraction, what: str, n: int) -> float:
@@ -129,10 +137,15 @@ class BoundaryMatch:
 
 
 def boundary_match(n: int, a, b) -> BoundaryMatch:
-    """Synthetic division data for arbitrary (A, B); remainder recorded, not hidden."""
-    if n < 2:
+    """Synthetic division data for arbitrary (A, B); remainder recorded, not hidden.
+
+    An n that is not at least 2 and finite raises :class:`DimensionError`,
+    and an a or b with no exact rational value (NaN or an infinity)
+    :class:`DomainError`.
+    """
+    if not 2 <= n < math.inf:
         raise DimensionError("boundary matching needs dimension n >= 2")
-    a, b = Fraction(a), Fraction(b)
+    a, b = _coefficient("a", a), _coefficient("b", b)
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     coeffs[1] += -a
@@ -150,10 +163,9 @@ def solve_boundary_coefficients(n: int) -> BoundaryMatch:
     The system is triangular: A = n - 1 from the residue, then B = 1 - A.
     The match keeps whatever remainder the division leaves: ``derive``
     checks it, and :func:`burns_simanca_potential` refuses a nonzero one.
-    Below n = 2, :func:`boundary_match` raises :class:`DimensionError`.
+    An n below 2 or not finite makes :func:`boundary_match` raise :class:`DimensionError`.
     """
-    a = Fraction(n - 1)
-    return boundary_match(n, a, 1 - a)
+    return boundary_match(n, n - 1, 2 - n)
 
 
 def burns_simanca_potential(n: int) -> TPotential:
@@ -191,9 +203,13 @@ def delta_check(match: BoundaryMatch, t_samples: Sequence[float], *, seed: int =
     the difference is the relative error and neither side underflows however
     large n is; ``max_det_deviation`` is the largest such log difference, and
     the check fails once one exceeds ``DELTA_TOL``.  Two seeded random points
-    are drawn at each sampled t > 1; their G^{-1} form one stack, so one
-    batched F'' and one ``slogdet`` call serve every point.  The report names
-    the first point in sample order whose deviation fails.
+    are drawn at each sampled t > 1.  One batched F'' serves every point, and
+    their G^{-1} are factored by ``slogdet`` in blocks of at most
+    ``STENCIL_BLOCK // n^2`` matrices (one from n = 91 on), each written to one
+    buffer made once per call, so the check holds O(n^2) floats at any n.
+    The report names the first point in sample order whose deviation fails.
+    A sampled t so large that G^{-1} overflows (the products x_i x_j it is
+    built from do once t passes about 1e154) raises :class:`DomainError`.
     """
     ts = sorted(set(float(t) for t in t_samples) | {1.0})
     if min(ts) < 1.0:
@@ -213,7 +229,19 @@ def delta_check(match: BoundaryMatch, t_samples: Sequence[float], *, seed: int =
     deviations = np.zeros(0)
     if row_t.size:
         t_of_x = x.sum(axis=-1)
-        sign, log_det = np.linalg.slogdet(_t_family_inverse(x, admissible_f2(t_of_x, f2_value(pot, t_of_x))))
+        f2 = admissible_f2(t_of_x, f2_value(pot, t_of_x))
+        per_row = match.n**2
+        # One buffer for every block: a fresh array per block would go back to the OS and be faulted in again.
+        buffer = np.empty((min(row_t.size, _block_rows(per_row)), match.n, match.n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sign, log_det = _in_blocks(
+                lambda xb, f2b: np.linalg.slogdet(_t_family_inverse(xb, f2b, out=buffer[: len(xb)])), per_row, x, f2
+            )
+        # log|det| is finite for every finite matrix, singular ones aside (-inf).
+        unresolved = ~(log_det < math.inf)
+        if unresolved.any():
+            t = float(row_t[np.argmax(unresolved)])
+            raise DomainError(f"G^-1 overflows at t={t}; the factorization cannot be checked there")
         factored = log_cofactor + np.log(x).sum(axis=-1)
         deviations = np.where(sign > 0, np.abs(log_det - factored), math.inf)
     failing = np.flatnonzero(deviations > DELTA_TOL)

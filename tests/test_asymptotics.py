@@ -6,7 +6,7 @@ import pytest
 from torickahler import potentials
 from torickahler.asymptotics import DecayReport, chart_deviation, decay_scan
 from torickahler.curvature import hessian_t_family
-from torickahler.errors import DecayFitError, DomainError, NonAdmissibleError
+from torickahler.errors import DecayFitError, DimensionError, DomainError, NonAdmissibleError
 from torickahler.jets import constant, variable
 from torickahler.potentials import (
     custom_potential,
@@ -133,6 +133,13 @@ def test_decay_input_validation():
         decay_scan(2, 100.0, 10.0, 16)
     with pytest.raises(ValueError, match="strictly increasing"):
         DecayReport(((2.0, 1.0), (1.0, 1.0)), (True, True), -1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf])
+def test_decay_scan_refuses_a_non_finite_dimension(n):
+    # Fraction(n - 1) would raise a bare ValueError (NaN) or OverflowError (inf).
+    with pytest.raises(DimensionError, match="^boundary matching needs dimension n >= 2$"):
+        decay_scan(n, 1e2, 1e6, 32)
 
 
 def _dense_chart_deviation(pot, x, y):

@@ -89,6 +89,21 @@ def test_hessian_requires_interior_point():
             hessian_t_family(flat_potential(), x)
 
 
+@pytest.mark.parametrize(
+    "pot, x",
+    [
+        (flat_potential(), [1e308, 1.0]),  # 2 x_0 overflows on G^-1's diagonal
+        (burns_simanca_potential(2), [1e308, 1.0]),
+        (flat_potential(), [1e308, 1e308]),  # t overflows
+        (flat_potential(), [1e-320, 1.0]),  # 1 / (2 x_0) overflows on G's diagonal
+    ],
+    ids=["flat", "burns_simanca", "t", "subnormal"],
+)
+def test_hessian_refuses_a_point_where_it_overflows(pot, x):
+    with pytest.raises(DomainError, match="overflows at x|t=inf is outside the domain"):
+        hessian_t_family(pot, x)
+
+
 def test_hessian_inverse_is_inverse():
     rng = np.random.default_rng(1)
     pots = [flat_potential(), fubini_study_potential(), generalized_burns_potential()]
@@ -714,6 +729,18 @@ def test_legendre_roundtrip_refuses_a_degenerate_hessian():
     # eigenvalue ratio is about e^-20 = 2e-9, below the check's 1e-8.
     with pytest.raises(DegeneratePotentialError, match="numerically singular"):
         legendre_roundtrip(flat_radial(), [-10.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "a",
+    [[-math.inf, 0.0], [1e308, 0.0], [math.nan, 0.0], [354.85, 0.0], [-360.0, 0.0], [[0.1, 0.0], [1e308, 0.0]]],
+    ids=["-inf", "1e308", "nan", "sum-near-max", "e2a-subnormal", "batch"],
+)
+def test_legendre_roundtrip_refuses_a_point_out_of_range(a):
+    # e^(2 a_i) must be a normal float and 2 e^(2 a_i) finite; past that the
+    # roundtrip met inf - inf and overflows, with warnings and no error.
+    with pytest.raises(DomainError, match=r"^a = \[(-inf|1e\+308|nan|354\.85|-360\.0), 0\.0\] is out of range"):
+        legendre_roundtrip(fubini_study_radial(), a)
 
 
 def test_only_hessian_general_inverts(monkeypatch):

@@ -291,6 +291,20 @@ def test_kahler_to_t_rejects_decreasing_profile():
             kahler_to_t_potential(fubini_study_radial(), t)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_kahler_to_t_refuses_a_non_finite_t(t):
+    with pytest.raises(DomainError, match="^t must be positive and finite$"):
+        kahler_to_t_potential(fubini_study_radial(), t)
+
+
+def test_kahler_to_t_refuses_a_gamma_that_overflows():
+    # Fubini-Study's gamma(s) = s / (1 + s) is below 1, but 2 s f'(s) forms
+    # 2 s first, which overflows at s = t = 1e308; so would the nine probes
+    # of the bracket that the search ends with.
+    with pytest.raises(DomainError, match=r"^gamma\(s\) = 2 s f'\(s\) or its slope is not finite on \[5e\+307, 1e\+308\]"):
+        kahler_to_t_potential(fubini_study_radial(), 1e308)
+
+
 def test_kahler_to_t_refuses_a_slope_falling_on_the_way_to_the_bracket():
     # gamma(0.25) < 0.25 with gamma' > 0 there, so s doubles; at s = 0.5,
     # inside the dip and with gamma(0.5) still below 0.25, gamma' < 0.
@@ -816,11 +830,33 @@ def test_first_order_family_starts_at_the_largest_float_at_or_below_its_root(a, 
     [
         (2, 3.0, -2.0),  # (t - 1)(t - 2): t - 1 divides the gap, but a > n puts the largest root at 2
         (1100, 2.0, 0.0),  # t (t^1099 - 2): t^1099 overflows a float on the way to the root
+        # Roots past 2^1023: the doubling search stops at the float maximum,
+        # and the bisection's lo + hi overflows.
+        (2, 1e308, 0.5),
+        (2, 1.5e308, 0.5),
     ],
 )
 def test_family_domain_starts_at_the_largest_root(n, a, b):
     start = scalar_flat_family(n, a, b).domain[0]
     assert _exact_gap(n, a, b, start) <= 0 < _exact_gap(n, a, b, math.nextafter(start, math.inf))
+
+
+def test_family_refuses_a_root_above_the_largest_float():
+    # t^2 - a t - 1 with a the float maximum has its root 1/a above a.
+    largest = float(np.finfo(float).max)
+    with pytest.raises(DomainError, match="lies above the largest float"):
+        scalar_flat_family(2, largest, 1.0)
+
+
+@pytest.mark.parametrize(
+    "n, a, b, message",
+    [(2, math.nan, 0.0, "a=nan"), (2, math.inf, 0.0, "a=inf"), (1, 0.5, math.nan, "b=nan")],
+    ids=["a=nan", "a=inf", "n=1-b=nan"],
+)
+def test_family_refuses_a_non_finite_coefficient(n, a, b, message):
+    # Fraction() would raise a bare ValueError (NaN) or OverflowError (inf).
+    with pytest.raises(DomainError, match=f"^the family's {message} must be finite$"):
+        scalar_flat_family(n, a, b)
 
 
 @pytest.mark.parametrize("a, b, start", [(0.5, 0.25, 0.5), (-1.0, -2.0, 0.0), (1.0, -0.5, 0.0), (0.0, 3.0, 3.0)])

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -244,9 +246,12 @@ def test_delta_check_reports_the_first_failure():
 
 @pytest.mark.parametrize("n", (2, 3, 12, 50, 200))
 def test_delta_check_builds_only_the_inverse_hessian(monkeypatch, n):
-    # One slogdet call must see, bit for bit, the stack of the G^{-1} of
-    # hessian_t_family at the same seeded points, two per sampled t in order,
-    # and hessian_t_family, which builds G, must not run.
+    # The blocks that slogdet sees, joined, must be bit for bit the stack of
+    # the G^{-1} of hessian_t_family at the same seeded points, two per
+    # sampled t in order; no block may hold more than STENCIL_BLOCK // n^2
+    # matrices (one past that), and hessian_t_family, which builds G, must
+    # not run.  The 8 matrices come in blocks of 8 up to n = 32, 3 at n = 50
+    # and 1 at n = 200.
     match = solve_boundary_coefficients(n)
     ts, seed = [1.0, 1.5, 2.0, 5.0, 25.0], 3
     pot = scalarflat.scalar_flat_family(n, float(match.A), float(match.B))
@@ -256,12 +261,13 @@ def test_delta_check_builds_only_the_inverse_hessian(monkeypatch, n):
         for _ in range(2):
             weights = rng.uniform(0.2, 1.0, n)
             expected.append(hessian_t_family(pot, t * weights / weights.sum()).G_inv)
-    expected = [np.stack(expected).tobytes()]
-    seen = []
+    expected = np.stack(expected).tobytes()
+    seen, sizes = [], []
     slogdet = np.linalg.slogdet
 
     def recording(matrix):
         seen.append(matrix.tobytes())
+        sizes.append(len(matrix))
         return slogdet(matrix)
 
     def no_G(*args):
@@ -270,7 +276,32 @@ def test_delta_check_builds_only_the_inverse_hessian(monkeypatch, n):
     monkeypatch.setattr(np.linalg, "slogdet", recording)
     monkeypatch.setattr(curvature, "hessian_t_family", no_G)
     assert delta_check(match, ts, seed=seed).passed
-    assert seen == expected
+    assert b"".join(seen) == expected
+    assert max(sizes) == min(8, max(1, curvature.STENCIL_BLOCK // n**2))
+
+
+@pytest.mark.parametrize("n", (200, 1000))
+def test_delta_check_holds_at_most_two_matrices(n):
+    # The factorization pass keeps one n x n buffer plus what slogdet copies
+    # of it; the whole stack of 8 G^{-1} would be 8 n^2 floats.
+    match = solve_boundary_coefficients(n)
+    ts = [1.0, 1.5, 2.0, 5.0, 25.0]
+    assert delta_check(match, ts).passed  # made once: the family's domain and the quotient's integer form
+    tracemalloc.start()
+    try:
+        assert delta_check(match, ts).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n**2
+
+
+@pytest.mark.parametrize("t", [1e160, 1e308])
+def test_delta_check_refuses_a_t_where_the_inverse_hessian_overflows(t):
+    # The products x_i x_j that G^{-1} is built from overflow past t ~ 1e154;
+    # slogdet then read a NaN log-determinant, whose deviation passed the check.
+    with pytest.raises(DomainError, match=re.escape(f"G^-1 overflows at t={t};")):
+        delta_check(solve_boundary_coefficients(3), [1.0, 2.0, t])
 
 
 def test_delta_is_exact_beyond_float_range_of_its_parts():
@@ -292,6 +323,13 @@ def test_non_finite_t_is_a_domain_error(entry, t):
     }[entry]
     with pytest.raises(DomainError):
         call(t)
+
+
+@pytest.mark.parametrize("a, b, message", [(math.nan, 0, "a=nan"), (0, math.inf, "b=inf")])
+def test_boundary_match_refuses_a_non_finite_coefficient(a, b, message):
+    # Fraction() would raise a bare ValueError (NaN) or OverflowError (inf).
+    with pytest.raises(DomainError, match=f"^{message} must be finite$"):
+        boundary_match(3, a, b)
 
 
 def test_quotient_value_beyond_float_range_is_a_domain_error():

@@ -52,6 +52,7 @@ CURVATURE = "src/torickahler/curvature.py"
 POTENTIALS = "src/torickahler/potentials.py"
 CLI = "src/torickahler/cli.py"
 JETS = "src/torickahler/jets.py"
+SCALARFLAT = "src/torickahler/scalarflat.py"
 
 #: Changes no behaviour, so the suite must pass with it applied.
 EQUIVALENT = Mutant(CURVATURE, "2 * (n + 1) * t * phi1", "2 * (n+1) * t * phi1",
@@ -124,9 +125,26 @@ MUTANTS = (
            "batched jets made by arithmetic keep non-finite coefficients"),
     Mutant(JETS, "if a.base is not b.base or len(ac) != len(bc):", "if a.base is not b.base:",
            "jets sharing a base object combined without comparing orders"),
-    Mutant("src/torickahler/scalarflat.py", "remainder = descending[-1] + quotient[-1]",
+    Mutant(SCALARFLAT, "remainder = descending[-1] + quotient[-1]",
            "remainder = descending[-1] + quotient[-1] + 1",
            "the boundary division leaves a remainder"),
+    Mutant(SCALARFLAT, "per_row = match.n**2", "per_row = 1",
+           "delta_check factors all its G^-1 in one block at every n"),
+    Mutant(SCALARFLAT, "        if unresolved.any():\n", "        if False:\n",
+           "delta_check passes a NaN log-determinant from an overflowed G^-1"),
+    Mutant(POTENTIALS, "        if not math.isfinite(value):\n            raise DomainError(f\"the family's",
+           "        if False:\n            raise DomainError(f\"the family's",
+           "the family's guard on a non-finite a or b dropped"),
+    Mutant(POTENTIALS, "lo, hi = hi, min(2.0 * hi, _FLOAT_MAX)", "lo, hi = hi, 2.0 * hi",
+           "the family's domain search doubles past the float maximum"),
+    Mutant(POTENTIALS, "        if mid == math.inf:", "        if False:",
+           "the family's bisection takes an overflowed lo + hi"),
+    Mutant(POTENTIALS, "    if not all(map(math.isfinite, (gamma0, scale0, gamma, scale))):\n", "    if False:\n",
+           "the Legendre inversion brackets with an overflowed gamma"),
+    Mutant(CURVATURE, "    if not resolved.all():\n", "    if False:\n",
+           "the Legendre roundtrip takes an a whose e^(2 a_i) overflows or underflows"),
+    Mutant(CURVATURE, "    if not (np.isfinite(G).all() and np.isfinite(G_inv).all()):\n", "    if False:\n",
+           "hessian_t_family returns an overflowed G or G^-1"),
     Mutant(CLI, "    if not all(map(math.isfinite, values)):\n", "    if False:\n",
            "_parse_floats accepts a non-finite coordinate"),
     Mutant(CLI, "if not 0 <= value < math.inf:", "if value < 0:",

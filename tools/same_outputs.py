@@ -67,7 +67,7 @@ ARGVS = (
        ["legendre", "--samples", "0"],
        ["admissible", "--potential", "fubini_study", "--t-range", "0.1..0.9", "--samples", "-5"]]
     # Large dimensions.
-    + [["derive", "--dim", "200"], ["derive", "--dim", "1000"],
+    + [["derive", "--dim", "1"], ["derive", "--dim", "50"], ["derive", "--dim", "200"], ["derive", "--dim", "1000"],
        ["curvature", "--potential", "burns_simanca", "--dim", "1100", "--t", "2.0"]]
 )
 
