@@ -295,7 +295,9 @@ def _check_hessians(G: np.ndarray) -> None:
     A Hessian with a non-finite entry, or whose smallest eigenvalue is
     negligible against the largest, raises :class:`DegeneratePotentialError`;
     one with a negative eigenvalue then raises :class:`NonAdmissibleError`,
-    for a potential that is not strictly convex there is no metric.
+    for a potential that is not strictly convex there is no metric.  This is
+    the decision itself, from ``eigvalsh``; :func:`_checked_inverse` reaches
+    the same one without it wherever a cheaper test is conclusive.
     """
     if not np.isfinite(G).all():
         raise DegeneratePotentialError("Hessian has a non-finite entry")
@@ -308,6 +310,59 @@ def _check_hessians(G: np.ndarray) -> None:
         )
     if not (eigenvalues[..., 0] > 0.0).all():
         raise NonAdmissibleError(f"Hessian is not positive definite (smallest eigenvalue = {np.min(eigenvalues):.2e})")
+
+
+def _checked_inverse(G: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv(G)`` of the symmetric Hessians ``G`` (shape (..., n, n)) that :func:`_check_hessians` passes.
+
+    The decision and any exception are :func:`_check_hessians`', but most
+    stacks skip its ``eigvalsh``.  Where every entry is finite, a batched
+    Cholesky factorization succeeds, and each matrix with its computed
+    inverse X has ``bound = 1 / (|X|_F max(1, |G|_F)) >= 4e-8``, X is
+    returned.  Every other stack (a non-finite entry, a failed factorization
+    or a smaller bound) goes through :func:`_check_hessians`, which raises or
+    passes it, and is then inverted.
+
+    Why the certificate is sound: let G be one certified matrix, lambda its
+    eigenvalues, M = max |lambda|, and r = min |lambda| / max(1, M) the
+    ratio that :func:`_check_hessians` tests against 1e-8.  The constants
+    c, d, e below are low-degree polynomials in n, and eps is the unit
+    roundoff; the rounding of the norms and of the bound is a relative few
+    n eps, which the margins absorb.
+
+    * Magnitudes.  The computed inverse of LU with partial pivoting has
+      |X G - I| <= c eps |X| |G| (c includes the pivot growth), and
+      |X|_F |G|_F <= 1 / bound <= 2.5e7, so |X G - I| <= 1/2 while
+      c < 9e7.  Then G^-1 = (X G)^-1 X gives
+      min |lambda| = 1 / |G^-1|_2 >= 1 / (2 |X|_F), and M = |G|_2 <= |G|_F,
+      so r >= bound / 2 >= 2e-8.
+    * Signs.  A Cholesky factorization that completes in floating point is
+      exact for some G + E with |E|_2 <= d eps M, and G + E is positive
+      definite, so every lambda > -d eps M.  A negative lambda would need
+      r <= d eps, that is d > 9e7; so G is positive definite.
+    * What ``eigvalsh`` computes.  Its eigenvalues are exact for some G + F
+      with |F|_2 <= e eps M, so each is within e eps M of its lambda
+      (Weyl).  The smallest stays positive, and the ratio it forms is at
+      least (r - e eps) / (1 + e eps) >= 1e-8 while e < 4e7.
+
+    So :func:`_check_hessians` passes every certified stack, and it is given
+    every other one.
+    """
+    if np.isfinite(G).all():
+        try:
+            np.linalg.cholesky(G)
+            G_inv = np.linalg.inv(G)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            # A norm that overflows makes the bound 0 or NaN, which fails.
+            with np.errstate(all="ignore"):
+                norms = np.linalg.norm(G_inv, axis=(-2, -1)) * np.maximum(1.0, np.linalg.norm(G, axis=(-2, -1)))
+                bound = 1.0 / norms
+            if (bound >= 4e-8).all():
+                return G_inv
+    _check_hessians(G)
+    return np.linalg.inv(G)
 
 
 def _largest_norm(x: np.ndarray) -> float:
@@ -339,7 +394,10 @@ def hessian_general(
     ``max(1e-4, 1e-4 |x|)`` for the largest |x| of the batch (an |x| that
     overflows raises :class:`DomainError`).  A non-finite or numerically
     singular Hessian raises :class:`DegeneratePotentialError`, and one that is
-    not positive definite :class:`NonAdmissibleError`.
+    not positive definite :class:`NonAdmissibleError`: the decision of
+    :func:`_check_hessians`, which :func:`_checked_inverse` certifies with a
+    Cholesky factorization and the Frobenius norms of G and G^{-1} before it
+    falls back to ``eigvalsh``.  G^{-1} is ``np.linalg.inv(G)``.
     Keep ``x`` more than ``2 * step`` away from any boundary of ``g``'s
     domain; the stencil reaches that far.
     """
@@ -358,8 +416,7 @@ def hessian_general(
         per_row,
         rows,
     ).reshape(x.shape + (n,))
-    _check_hessians(G)
-    return HessianEval(G=G, G_inv=np.linalg.inv(G))
+    return HessianEval(G=G, G_inv=_checked_inverse(G))
 
 
 def scalar_curvature_reduced(pot: TPotential, n: int, t: float | np.ndarray) -> float | np.ndarray:

@@ -602,13 +602,18 @@ def kahler_to_t_potential(f: RadialKahlerPotential, t: float) -> TDual:
 def local_t_potential(pot: TPotential, t_lo: float, t_hi: float) -> Callable[[np.ndarray], np.ndarray]:
     """Fast polynomial stand-in for F on [t_lo, t_hi], gauged F(t_lo) = F'(t_lo) = 0.
 
-    F'' is interpolated at Chebyshev nodes and integrated twice exactly; the
+    F'' is interpolated at Chebyshev nodes (:func:`_chebyshev_interpolant`)
+    and integrated twice exactly (:func:`_chebyshev_integral`); the
     interpolant of degree 32, 64, 128 or 256, the first whose error at five
     probes is within 1e-12 (1 + max |F''|), is kept; if none is,
-    :class:`AccuracyError` is raised.  Intended for finite-difference work
-    that hits F at many nearby points where per-call quadrature would
-    dominate the runtime.  The
-    returned callable maps a float or an array of t elementwise and raises
+    :class:`AccuracyError` is raised.  F'' at the probes is evaluated once,
+    before the first degree.  Every step is numpy's own
+    (``Chebyshev(chebinterpolate(...), domain=[t_lo, t_hi]).integ(2, lbnd=t_lo)``
+    and ``chebval``), written out in the same operation order, so the
+    coefficients have its bits and ``numpy.polynomial`` is never imported.
+    Intended for finite-difference work that hits F at many nearby points
+    where per-call quadrature would dominate the runtime.  The returned
+    callable maps a float or an array of t elementwise and raises
     :class:`DomainError` if any t lies outside the window, rather than
     extrapolate.
     """
@@ -622,22 +627,19 @@ def local_t_potential(pot: TPotential, t_lo: float, t_hi: float) -> Callable[[np
     half = 0.5 * (t_hi - t_lo)
 
     def f2_scaled(xi: np.ndarray) -> np.ndarray:
-        return f2_value(pot, mid + half * np.atleast_1d(xi))
+        return f2_value(pot, mid + half * xi)
 
     probes = np.array([-0.83, -0.41, 0.07, 0.52, 0.96])
+    exact = f2_scaled(probes)
+    scale = 1.0 + float(np.max(np.abs(exact)))
     for degree in (32, 64, 128, 256):
-        coeffs = np.polynomial.chebyshev.chebinterpolate(f2_scaled, degree)
-        approx = np.polynomial.chebyshev.chebval(probes, coeffs)
-        exact = f2_scaled(probes)
-        scale = 1.0 + float(np.max(np.abs(exact)))
-        if float(np.max(np.abs(approx - exact))) <= 1e-12 * scale:
+        coeffs = _chebyshev_interpolant(f2_scaled, degree)
+        if float(np.max(np.abs(_clenshaw(probes, coeffs) - exact))) <= 1e-12 * scale:
             break
     else:
         raise AccuracyError(f"F'' not resolved on [{t_lo}, {t_hi}] with 256 Chebyshev nodes")
 
-    series = np.polynomial.Chebyshev(coeffs, domain=[t_lo, t_hi])
-    antiderivative = series.integ(2, lbnd=t_lo)
-    inner_coeffs = antiderivative.coef.copy()
+    inner_coeffs = _chebyshev_integral(_chebyshev_integral(coeffs, t_lo, t_hi), t_lo, t_hi)
 
     def value(t):
         t_min, t_max = np.min(t), np.max(t)
@@ -649,17 +651,68 @@ def local_t_potential(pot: TPotential, t_lo: float, t_hi: float) -> Callable[[np
     return value
 
 
-def _clenshaw(x, c: np.ndarray):
-    """The Chebyshev series ``c`` at ``x``, bit for bit what ``chebval(x, c)`` returns.
+def _chebyshev_interpolant(f: Callable[[np.ndarray], np.ndarray], degree: int) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant of ``f`` on [-1, 1], bit for bit ``chebinterpolate(f, degree)``.
 
-    The same Clenshaw recurrence, in the same order, run on three work arrays
-    made once instead of the three fresh arrays numpy's ``chebval`` makes per
-    coefficient; on a stencil block of 8,192 points that is about a quarter
-    faster.  A single x goes to ``chebval`` itself, whose float arithmetic is
-    about ten times faster there than ufunc calls on one-element arrays.
+    ``f`` is called once, on the degree + 1 Chebyshev points of the first
+    kind (``chebpts1``'s sines); ``chebvander``'s recurrence builds the
+    transposed Vandermonde matrix in the layout that ``np.dot`` reads there,
+    and the scaling is numpy's.
+    """
+    order = degree + 1
+    nodes = np.sin(0.5 * np.pi / order * np.arange(-order + 1, order + 1, 2))
+    vander = np.empty((order, order))  # row i is T_i at the nodes
+    vander[0] = 1.0
+    vander[1] = nodes
+    x2 = 2 * nodes
+    for i in range(2, order):
+        vander[i] = vander[i - 1] * x2 - vander[i - 2]
+    c = np.dot(vander, f(nodes))
+    c[0] /= order
+    c[1:] /= 0.5 * order
+    return c
+
+
+def _chebyshev_integral(c: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
+    """The antiderivative in t, zero at t_lo, of the series ``c`` on the window [t_lo, t_hi].
+
+    Bit for bit one pass of ``Chebyshev(c, domain=[t_lo, t_hi]).integ(1, lbnd=t_lo)``:
+    numpy's ``mapparms`` constants, then ``chebint``'s coefficients, each
+    formed once as its loop forms it (``c[j] / (2 (j + 1))``, then the
+    subtraction of ``c[j] / (2 (j - 1))``), and the constant that makes the
+    series vanish at the mapped t_lo.  ``c`` has at least two coefficients.
+    """
+    length = t_hi - t_lo
+    scl = 2.0 / length
+    lbnd = (-t_hi - t_lo) / length + scl * t_lo
+    c = c * (1.0 / scl)
+    n = len(c)
+    integral = np.empty(n + 1)
+    integral[0] = c[0] * 0
+    integral[1] = c[0]
+    integral[2:] = c[1:] / np.arange(4, 2 * n + 1, 2)
+    integral[1 : n - 1] -= c[2:] / np.arange(2, 2 * n - 3, 2)
+    integral[0] += 0 - _clenshaw(lbnd, integral)
+    return integral
+
+
+def _clenshaw(x, c: np.ndarray):
+    """The Chebyshev series ``c`` at ``x``, bit for bit what numpy's ``chebval(x, c)`` returns.
+
+    The same Clenshaw recurrence, in the same order.  For an array of x it
+    runs on three work arrays made once instead of the three fresh arrays
+    ``chebval`` makes per coefficient; on a stencil block of 8,192 points
+    that is about a quarter faster.  A single x runs the recurrence on Python
+    floats, which round as numpy's float64 scalars do at a fraction of their
+    cost, and gives a float.
     """
     if np.ndim(x) == 0:
-        return np.polynomial.chebyshev.chebval(x, c)
+        x, c = float(x), np.asarray(c, dtype=float).tolist()
+        c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
+        x2 = 2.0 * x
+        for ci in reversed(c[:-2]):
+            c0, c1 = ci - c1, c0 + c1 * x2
+        return c0 + c1 * x
     if len(c) == 1:
         c = (c[0], 0.0)
     x = np.asarray(x, dtype=float)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torickahler
-from torickahler import asymptotics, cli, curvature, scalarflat
+from torickahler import asymptotics, cli, curvature, potentials, scalarflat
 from torickahler.cli import RunReport, build_parser, dispatch, emit
 from torickahler.jets import variable
 from torickahler.potentials import custom_potential
@@ -614,6 +614,37 @@ def test_runtime_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_curvature_point_imports_no_numpy_polynomial():
+    # The Chebyshev F of Abreu's route is built without numpy.polynomial,
+    # whose first use imports nine modules.
+    src = str(Path(torickahler.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; from torickahler import cli; "
+        "code = cli.dispatch(['curvature', '--potential', 'burns_simanca', '--dim', '3', '--point', '0.6,0.6,0.6']); "
+        "sys.exit(code or 'numpy.polynomial' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_catalog_sweeps_each_potential_once(capsys, monkeypatch):
+    # Flat, Fubini-Study and generalized Burns do not depend on n; Burns-Simanca does.
+    swept = []
+    original = potentials.admissibility
+
+    def recording(pot, t_range, samples=200):
+        swept.append(pot.label)
+        return original(pot, t_range, samples)
+
+    monkeypatch.setattr(potentials, "admissibility", recording)
+    code, out = run(capsys, "verify-catalog", "--dims", "1..4")
+    assert code == 0
+    assert swept == ["flat", "fubini_study", "generalized_burns"] + ["burns_simanca"] * 3
+    names = [r["name"] for r in json.loads(out)["results"] if r["name"].endswith("_admissible")]
+    assert len(names) == 15
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

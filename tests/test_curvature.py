@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torickahler import curvature, potentials
 from torickahler.curvature import (
@@ -20,6 +22,7 @@ from torickahler.errors import (
     DomainError,
     NearBoundaryError,
     NonAdmissibleError,
+    ToricError,
 )
 from torickahler.jets import TaylorJet, constant, variable
 from torickahler.polytope import build_standard, canonical_potential, row_sum
@@ -970,6 +973,81 @@ def test_saddle_is_no_metric():
     for fn in (hessian_general, scalar_curvature_abreu):
         with pytest.raises(NonAdmissibleError, match="not positive definite"):
             fn(g, [1.0, 1.0])
+
+
+def _symmetric(eigenvalues: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Q diag(eigenvalues) Q^T for a random orthogonal Q per row, exactly symmetric."""
+    q, _ = np.linalg.qr(rng.normal(size=eigenvalues.shape + eigenvalues.shape[-1:]))
+    G = (q * eigenvalues[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
+
+
+@st.composite
+def _hessian_stacks(draw) -> np.ndarray:
+    """Symmetric stacks (rows, n, n), or one matrix: well conditioned, nearly singular, indefinite or non-finite."""
+    kind = draw(st.sampled_from(["conditioned", "nearly_singular", "indefinite", "non_finite"]))
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Scales on both sides of 1 exercise the max(1, largest |eig|) of the ratio.
+    eigenvalues = 10.0 ** rng.uniform(-9.0, 9.0) * 10.0 ** rng.uniform(-2.0, 0.0, (rows, n))
+    row, k = rng.integers(rows), rng.integers(n)
+    if kind == "nearly_singular":
+        ratio = 10.0 ** -draw(st.floats(6.0, 10.0))
+        eigenvalues[row, k] = ratio * max(1.0, eigenvalues[row].max())
+    elif kind == "indefinite":
+        eigenvalues[row, k] *= -1.0
+    G = _symmetric(eigenvalues, rng)
+    if kind == "non_finite":
+        i, j = rng.integers(n, size=2)
+        G[row, i, j] = G[row, j, i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return G[0] if draw(st.booleans()) else G
+
+
+def _inverse_or_error(check, G: np.ndarray):
+    try:
+        return check(G).tobytes()
+    except ToricError as exc:
+        return type(exc), str(exc)
+
+
+def _eigvalsh_checked_inverse(G: np.ndarray) -> np.ndarray:
+    curvature._check_hessians(G)
+    return np.linalg.inv(G)
+
+
+@given(_hessian_stacks())
+@example(np.array([[[5e-10, 0.0], [0.0, 5e-10]]]))  # G of the flat metric at |x| = 1e9: singular by the ratio
+@settings(max_examples=300, deadline=None)
+def test_checked_inverse_decides_as_eigvalsh_does(G):
+    # Same exception type and message, or the same bits of G^-1.
+    assert _inverse_or_error(curvature._checked_inverse, G) == _inverse_or_error(_eigvalsh_checked_inverse, G)
+
+
+def test_checked_inverse_refuses_a_positive_definite_hessian_with_ratio_1e_10():
+    # Cholesky factors it, so the bound alone keeps it from being certified.
+    G = np.stack([np.eye(3), _symmetric(np.array([1.0, 0.5, 1e-10]), np.random.default_rng(5))])
+    with pytest.raises(DegeneratePotentialError, match=r"= 1\.00e-10\)$"):
+        curvature._checked_inverse(G)
+
+
+@pytest.mark.parametrize(
+    "pot, x",
+    [
+        (flat_potential(), [1.0, 2.0]),
+        (fubini_study_potential(), [0.1, 0.2, 0.15]),
+        (generalized_burns_potential(), [0.7, 0.9, 1.1, 0.5]),
+        (fubini_study_potential(), [0.05] * 8),
+        (burns_simanca_potential(3), [0.6, 0.6, 0.6]),
+    ],
+    ids=["flat", "fubini_study", "generalized_burns", "fubini_study_n8", "burns_simanca"],
+)
+def test_catalog_abreu_calls_make_no_eigvalsh_call(monkeypatch, pot, x):
+    def refuse(G):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    g = symplectic_evaluator(pot, t_window=abreu_t_window(x))
+    assert math.isfinite(scalar_curvature_abreu(g, x))
 
 
 def test_one_bad_row_fails_the_whole_roundtrip_batch():

@@ -589,15 +589,66 @@ def test_local_t_potential_rejects_points_outside_window():
             approx(t)
 
 
+_CHEBYSHEV_WINDOWS = [(1.02, 3.0), (0.3, 0.6), (-2.5, 1e-3), (1e-3, 1e5), (7.25, 7.2500001)]
+
+
+@pytest.mark.parametrize("window", _CHEBYSHEV_WINDOWS)
+@pytest.mark.parametrize("degree", [32, 64, 128, 256])
+def test_chebyshev_build_has_the_bits_of_numpy_polynomial(degree, window):
+    # numpy's chebinterpolate, then Chebyshev(..., domain=window).integ(2, lbnd=t_lo).
+    t_lo, t_hi = window
+
+    def f(xi):
+        return np.exp(np.sin(3.0 * xi)) / (2.5 - xi) - t_lo
+
+    got = potentials._chebyshev_interpolant(f, degree)
+    want = np.polynomial.chebyshev.chebinterpolate(f, degree)
+    assert got.tobytes() == want.tobytes()
+    integral = potentials._chebyshev_integral(potentials._chebyshev_integral(got, t_lo, t_hi), t_lo, t_hi)
+    assert integral.tobytes() == np.polynomial.Chebyshev(want, domain=[t_lo, t_hi]).integ(2, lbnd=t_lo).coef.tobytes()
+
+
+def _numpy_local_t_potential(pot, t_lo, t_hi):
+    """local_t_potential as it was built on numpy.polynomial: the reference for its bits."""
+    mid, half = 0.5 * (t_lo + t_hi), 0.5 * (t_hi - t_lo)
+
+    def f2_scaled(xi):
+        return f2_value(pot, mid + half * np.atleast_1d(xi))
+
+    probes = np.array([-0.83, -0.41, 0.07, 0.52, 0.96])
+    for degree in (32, 64, 128, 256):
+        coeffs = np.polynomial.chebyshev.chebinterpolate(f2_scaled, degree)
+        exact = f2_scaled(probes)
+        error = np.max(np.abs(np.polynomial.chebyshev.chebval(probes, coeffs) - exact))
+        if error <= 1e-12 * (1.0 + np.max(np.abs(exact))):
+            break
+    inner = np.polynomial.Chebyshev(coeffs, domain=[t_lo, t_hi]).integ(2, lbnd=t_lo).coef
+    return lambda t: np.polynomial.chebyshev.chebval((t - mid) / half, inner)
+
+
+@pytest.mark.parametrize(
+    "make, t_lo, t_hi",
+    [(lambda: burns_simanca_potential(3), 1.1, 3.0), (lambda: burns_simanca_potential(3), 1.02, 3.0),
+     (lambda: burns_simanca_potential(8), 2.9, 3.4), (fubini_study_potential, 0.3, 0.6)],
+)
+def test_local_t_potential_has_the_bits_of_numpy_polynomial(make, t_lo, t_hi):
+    pot = make()
+    got, want = local_t_potential(pot, t_lo, t_hi), _numpy_local_t_potential(pot, t_lo, t_hi)
+    ts = np.linspace(t_lo, t_hi, 101)
+    assert got(ts).tobytes() == want(ts).tobytes()
+    for t in ts[::10]:
+        assert got(float(t)) == want(float(t))
+
+
 def _recorded_degrees(monkeypatch) -> list:
     degrees = []
-    original = np.polynomial.chebyshev.chebinterpolate
+    original = potentials._chebyshev_interpolant
 
     def recording(fn, degree):
         degrees.append(degree)
         return original(fn, degree)
 
-    monkeypatch.setattr(np.polynomial.chebyshev, "chebinterpolate", recording)
+    monkeypatch.setattr(potentials, "_chebyshev_interpolant", recording)
     return degrees
 
 

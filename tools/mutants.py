@@ -77,6 +77,12 @@ MUTANTS = (
            "a numerically singular Hessian accepted"),
     Mutant(CURVATURE, "if not (eigenvalues[..., 0] > 0.0).all():", "if False:",
            "a Hessian that is not positive definite accepted"),
+    Mutant(CURVATURE, "if (bound >= 4e-8).all():", "if (bound >= 1e-17).all():",
+           "the Cholesky-and-norms certificate accepts a ratio bound down to 1e-17"),
+    Mutant(CURVATURE, "            np.linalg.cholesky(G)\n", "",
+           "the certificate without its Cholesky gate, so an indefinite Hessian is inverted"),
+    Mutant(POTENTIALS, "c[1:] /= 0.5 * order", "c[1:] /= order",
+           "Chebyshev interpolation scales the coefficients past the first by 1/order, not 2/order"),
     Mutant(CURVATURE, "    if norm == math.inf:\n", "    if False:\n",
            "a point whose norm overflows given an infinite step"),
     Mutant(CURVATURE, "    _check_hessians(hess_a)\n", "",
@@ -149,8 +155,8 @@ MUTANTS = (
            "_parse_floats accepts a non-finite coordinate"),
     Mutant(CLI, "if not 0 <= value < math.inf:", "if value < 0:",
            "NaN and infinite tolerances accepted"),
-    Mutant(CLI, "ok=potentials.admissibility(pot, entry.t_range, 64).passed",
-           "ok=potentials.admissibility(pot, entry.t_range, 2).passed",
+    Mutant(CLI, "potentials.admissibility(pot, entry.t_range, 64).passed",
+           "potentials.admissibility(pot, entry.t_range, 2).passed",
            "verify-catalog's admissibility sweep cut from 64 to 2 samples"),
     Mutant(CLI, 'report.check(f"S_reduced(t={t})", value, expected, 1e-9 * (1.0 + abs(expected)))',
            'report.check(f"S_reduced(t={t})", value, expected, None, ok=math.isfinite(value))',
